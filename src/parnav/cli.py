@@ -328,13 +328,9 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _optimal_curve(args, scenario, metric_cfg):
-    return optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
-
-
 def _cmd_optimal(args) -> int:
     scenario, metric_cfg, canonical = _load(args)
-    curve = _optimal_curve(args, scenario, metric_cfg)
+    curve = optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
     header, rows = curve_table(curve)
     write_csv(Path(args.out), header, rows)
     summary = {
@@ -351,7 +347,7 @@ def _cmd_optimal(args) -> int:
 
 def _cmd_pmp_check(args) -> int:
     scenario, metric_cfg, canonical = _load(args)
-    curve = _optimal_curve(args, scenario, metric_cfg)
+    curve = optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
     field = metric_cfg["field"]
     if field is None:
         field = ConstantField(scenario.program.vector)

@@ -141,6 +141,13 @@ class MetricValue:
     in_domain: bool
 
 
+def _closing_quotient(c, ny, yv):
+    """``(|y|^2 / den, den)`` for ``den = c |y| - <y, v_T>``, ``c = v_M cos(delta)``;
+    the quotient is NaN wherever ``den <= 0`` (the velocity does not close)."""
+    den = c * ny - yv
+    return ny * ny / np.where(den > 0.0, den, np.nan), den
+
+
 class NavMetric:
     """The navigation metric ``F(x, y)`` for one (v_m, delta) and one field."""
 
@@ -160,10 +167,8 @@ class NavMetric:
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             raise InvalidInputError("metric is undefined at the zero velocity")
-        den = self.params.v_m * self.params.cos_delta * ny - float(y @ self.field(x))
-        if den > 0.0:
-            return MetricValue(ny * ny / den, den, True)
-        return MetricValue(math.nan, den, False)
+        f, den = _closing_quotient(self.params.v_m * self.params.cos_delta, ny, float(y @ self.field(x)))
+        return MetricValue(float(f), den, den > 0.0)
 
     def F(self, x, y) -> float:
         mv = self.value(x, y)
@@ -173,20 +178,34 @@ class NavMetric:
             )
         return mv.value
 
-    def F_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+    def value_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise ``(F, denominator)`` without the domain gate (F is NaN outside it).
+
+        ``delta`` overrides the lead angle per row (``(m,)``) or as an
+        ``(m, k)`` / ``(1, k)`` table sharing each row's ``|y|`` and ``<y, v_T>``.
+        """
         Y = np.asarray(Y, dtype=float)
-        ny = np.linalg.norm(Y, axis=1)
-        if np.any(ny == 0.0):
+        ny = np.sqrt(np.add.reduce(Y * Y, axis=1))
+        if (ny == 0.0).any():
             raise InvalidInputError("metric is undefined at the zero velocity")
-        den = self.params.v_m * self.params.cos_delta * ny - np.einsum(
-            "ij,ij->i", Y, self.field.many(X)
-        )
-        if np.any(den <= 0.0):
+        yv = np.einsum("ij,ij->i", Y, self.field.many(np.asarray(X, dtype=float)))
+        c = self.params.v_m * self.params.cos_delta
+        if delta is not None:
+            delta = np.asarray(delta, dtype=float)
+            if not (np.abs(delta) < math.pi / 2.0).all():
+                raise InvalidInputError("delta must lie in (-pi/2, pi/2)")
+            c = self.params.v_m * np.cos(delta)
+            if delta.ndim == 2:
+                ny, yv = ny[:, None], yv[:, None]
+        return _closing_quotient(c, ny, yv)
+
+    def F_many(self, X: np.ndarray, Y: np.ndarray, delta=None) -> np.ndarray:
+        f, den = self.value_many(X, Y, delta)
+        if (den <= 0.0).any():
             raise OutOfDomainError(
                 f"batch contains a non-closing velocity (min denominator {den.min():.6g})"
             )
-        return ny * ny / den
+        return f
 
     def energy_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         f = self.F_many(X, Y)

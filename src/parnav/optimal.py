@@ -30,6 +30,7 @@ from .errors import (
 )
 from .geodesics import (
     CurveRecord,
+    _trapezoid,
     berwald_coefficients,
     euler_lagrange_residual,
     spray_coefficients,
@@ -72,25 +73,61 @@ def hamiltonian(metric: NavMetric, state: PMPState, velocity) -> float:
     return float(state.p @ v) - m.F(state.r, v)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal-ish f on [a, b] (f may be -inf)."""
+def _golden_max(f, a, b, tol: float):
+    """Golden-section maxima of a unimodal-ish f on brackets [a, b], in lock step.
+
+    ``f`` maps an array of points to values (``-inf`` allowed); a bracket
+    stops once ``<= tol`` wide.  Returns ``(x, f(x))``, the best of each
+    bracket's last three points, larger ``x`` winning ties.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+    active = b - a > tol
+    while active.any():
+        up = active & (f1 < f2)
+        down = active & ~up
+        a = np.where(up, x1, a)
+        b = np.where(down, x2, b)
+        xn = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        fn = f(xn)
+        x1, x2 = np.where(up, x2, np.where(down, xn, x1)), np.where(up, xn, np.where(down, x1, x2))
+        f1, f2 = np.where(up, f2, np.where(down, fn, f1)), np.where(up, fn, np.where(down, f1, f2))
+        active = b - a > tol
     xm = 0.5 * (a + b)
-    fm = f(xm)
-    # return the best of the three seen last
-    best = max((f1, x1), (f2, x2), (fm, xm))
-    return best[1], best[0]
+    best_x, best_f = x1, f1
+    for xc, fc in ((x2, f2), (xm, f(xm))):
+        take = (fc > best_f) | ((fc == best_f) & (xc > best_x))
+        best_x, best_f = np.where(take, xc, best_x), np.where(take, fc, best_f)
+    return best_x, best_f
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded exactly like ``a @ b`` on the rows."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def _maximized_hamiltonians(metric: NavMetric, X, P, D, grid_size: int = 181, refine_tol: float = 1e-8):
+    """Row-wise :func:`maximized_hamiltonian`: arrays ``(H_max, delta_star)``."""
+    V = D / metric.with_delta(0.0).F_many(X, D)[:, None]
+    pV = _row_dots(P, V)
+
+    def score(delta):  # (m, k) table of H over lead angles; -inf where F is undefined
+        f, _ = metric.value_many(X, V, delta)
+        return np.where(np.isnan(f), -np.inf, pV[:, None] - f)
+
+    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, grid_size + 2)[1:-1]
+    vals = score(grid[None, :])
+    i = np.argmax(vals, axis=1)
+    best = vals[np.arange(i.size), i]
+    if not np.isfinite(best).all():
+        raise OutOfDomainError("candidate velocity closes for no lead angle")
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, grid.size - 1)]
+    delta_star, h_max = _golden_max(lambda d: score(d[:, None])[:, 0], lo, hi, refine_tol)
+    won = best > h_max  # a grid point beat the refinement bracket
+    return np.where(won, best, h_max), np.where(won, grid[i], delta_star)
 
 
 def maximized_hamiltonian(
@@ -104,31 +141,19 @@ def maximized_hamiltonian(
     """Maximize ``H`` over the lead angle at one course point.
 
     The candidate velocity is ``direction`` rescaled to unit zero-lead
-    length and held fixed while ``delta`` scans an interior grid on
-    ``(-pi/2, pi/2)`` (lead angles whose metric is undefined at the
-    candidate score ``-inf``), followed by golden-section refinement.
-    Returns ``(H_max, delta_star)``.
+    length and held fixed while ``delta`` scans ``grid_size`` interior
+    points of an even grid on ``(-pi/2, pi/2)`` (lead angles whose metric
+    is undefined at the candidate score ``-inf``).  Golden-section
+    refinement then runs on the grid neighbours of the best grid point
+    until the bracket is ``refine_tol`` wide, keeping the best of its
+    last three points; if the best grid point still scores higher, it
+    wins.  Raises :class:`OutOfDomainError` if no grid angle closes.
+    Returns ``(H_max, delta_star)``; :func:`pmp_check` runs the same
+    scan on all its points in one batch.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    X = metric.with_delta(0.0).unit_vector(x, np.asarray(direction, dtype=float))
-    pX = float(p @ X)
-
-    def score(delta: float) -> float:
-        mv = metric.with_delta(delta).value(x, X)
-        return pX - mv.value if mv.in_domain else -math.inf
-
-    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, grid_size + 2)[1:-1]
-    vals = np.array([score(d) for d in grid])
-    i = int(np.argmax(vals))
-    if not np.isfinite(vals[i]):
-        raise OutOfDomainError("candidate velocity closes for no lead angle")
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    delta_star, h_max = _golden_max(score, float(lo), float(hi), refine_tol)
-    if vals[i] > h_max:  # grid point beat the refinement bracket
-        delta_star, h_max = float(grid[i]), float(vals[i])
-    return h_max, delta_star
+    rows = (np.asarray(a, dtype=float)[None, :] for a in (x, p, direction))
+    h_max, delta_star = _maximized_hamiltonians(metric, *rows, grid_size, refine_tol)
+    return float(h_max[0]), float(delta_star[0])
 
 
 @dataclass(frozen=True)
@@ -178,9 +203,14 @@ def pmp_check(
     else is a usage error, not a failed certificate).  Costates are the
     canonical momenta ``p = d(F^2/2)/dv`` of the course's own control;
     the adjoint residual compares their time derivative against the
-    position gradient of the maximized Hamiltonian (central differences,
-    re-maximizing at each perturbed position); the Euler-Lagrange
-    residual uses ``L = F^2``.
+    position gradient of the maximized Hamiltonian (central differences
+    with step ``h = 1e-5 (1 + |x|)``, re-maximizing at each perturbed
+    position); the Euler-Lagrange residual uses ``L = F^2``.
+
+    Every maximization follows :func:`maximized_hamiltonian` (interior
+    grid of ``grid_size`` lead angles, golden refinement to 1e-8, a grid
+    point that beats the refinement wins), run as one batch over all
+    nodes and their ``2n`` stencil points ``x +- h e_k``.
     """
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not np.isfinite(unit_defect) or unit_defect > tol_unit:
@@ -194,33 +224,27 @@ def pmp_check(
     if deltas.shape != (N,):
         raise InvalidInputError("deltas must match the curve grid")
 
-    P = np.empty_like(curve.positions)
-    hams = np.empty(N)
-    gaps = np.empty(N)
-    dstars = np.empty(N)
-    for i in range(N):
-        xi, vi = curve.positions[i], curve.velocities[i]
-        mi = metric.with_delta(float(deltas[i]))
-        P[i] = 0.5 * numdiff.y_gradient(mi.energy_many, xi, vi)
-        h_at = float(P[i] @ vi) - mi.F(xi, vi)
-        h_max, dstars[i] = maximized_hamiltonian(metric, xi, P[i], vi, grid_size=grid_size)
-        hams[i] = h_max
-        gaps[i] = h_max - h_at
+    X, V, n = curve.positions, curve.velocities, curve.dim
+    # costates: central differences in v with numdiff.y_gradient's step
+    hv = (numdiff.H_REL_Y * np.sqrt(_row_dots(V, V)))[:, None, None] * np.eye(n)
+    Ys = np.concatenate([V[:, None, :] + hv, V[:, None, :] - hv], axis=1)
+    E = metric.F_many(np.repeat(X, 2 * n, axis=0), Ys.reshape(-1, n), np.repeat(deltas, 2 * n)) ** 2
+    E = E.reshape(N, 2, n)
+    P = 0.5 * ((E[:, 0] - E[:, 1]) / (2.0 * hv.diagonal(axis1=1, axis2=2)))
+    h_at = _row_dots(P, V) - metric.F_many(X, V, deltas)
 
+    # one scan over every node x and its stencil points x +- h e_k
+    hx = 1e-5 * (1.0 + np.sqrt(_row_dots(X, X)))
+    shifts = hx[None, :, None] * np.eye(n)[:, None, :]  # (n, N, n)
+    rows = np.concatenate([X[None], X[None] + shifts, X[None] - shifts]).reshape(-1, n)
+    reps = (2 * n + 1, 1)
+    H, dstars = _maximized_hamiltonians(metric, rows, np.tile(P, reps), np.tile(V, reps), grid_size)
+    H = H.reshape(2 * n + 1, N)
+    hams, dstars = H[0], dstars[:N]
+    gaps = hams - h_at
+    grad = ((H[1 : n + 1] - H[n + 1 :]) / (2.0 * hx)).T
     dPdt = np.gradient(P, curve.times, axis=0, edge_order=2)
-    adj = np.empty(N)
-    n = curve.dim
-    for i in range(N):
-        xi, vi = curve.positions[i], curve.velocities[i]
-        h = 1e-5 * (1.0 + float(np.linalg.norm(xi)))
-        grad = np.empty(n)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            hp, _ = maximized_hamiltonian(metric, xi + e, P[i], vi, grid_size=grid_size)
-            hm, _ = maximized_hamiltonian(metric, xi - e, P[i], vi, grid_size=grid_size)
-            grad[k] = (hp - hm) / (2.0 * h)
-        adj[i] = float(np.linalg.norm(dPdt[i] + grad))
+    adj = np.linalg.norm(dPdt + grad, axis=1)
 
     el = euler_lagrange_residual(metric.with_delta(float(deltas[0])), curve, energy_scale=1.0)
 
@@ -262,14 +286,19 @@ def _zero_lead_reachable(metric: NavMetric, x0: np.ndarray, eps: float, dt: floa
 
     t = 0.0
     while t < t_max:
-        if float(np.linalg.norm(x)) <= eps:
+        nx = float(np.linalg.norm(x))
+        if nx <= eps:
             return True
         k1 = rate(x)
-        k2 = rate(x + 0.5 * dt * k1)
-        k3 = rate(x + 0.5 * dt * k2)
-        k4 = rate(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
+        h = dt
+        rdot = float(x @ k1) / nx
+        if nx + dt * rdot < eps:  # the step could jump the sphere: aim at range eps/2
+            h = (nx - 0.5 * eps) / (-rdot)
+        k2 = rate(x + 0.5 * h * k1)
+        k3 = rate(x + 0.5 * h * k2)
+        k4 = rate(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
     return float(np.linalg.norm(x)) <= eps
 
 
@@ -337,7 +366,7 @@ def _shoot(metric: NavMetric, x0: np.ndarray, phi: float, step: float, n_max: in
         xx, _ = _rk4_geodesic(metric, xa, ya, tau)
         return float(np.linalg.norm(xx))
 
-    tau_star, _ = _golden_max(lambda tau: -dist(tau), 0.0, step, 1e-12 * step)
+    tau_star = float(_golden_max(lambda tau: -dist(float(tau)), 0.0, step, 1e-12 * step)[0])
     x_star, y_star = _rk4_geodesic(metric, xa, ya, tau_star) if tau_star > 0.0 else (xa.copy(), ya.copy())
     closest = float(np.linalg.norm(x_star))
     vdir = y_star / np.linalg.norm(y_star)
@@ -526,26 +555,26 @@ def monotonicity_check(
     undefined are redrawn.
     """
     rng = np.random.default_rng(seed)
-    m0 = metric.with_delta(0.0)
-    worst = -math.inf
-    worst_point = None
-    n_pairs = 0
-    attempts = 0
+    n = metric.dim
+    worst, worst_point, n_pairs, attempts = -math.inf, None, 0, 0
     while n_pairs < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        x = rng.normal(size=metric.dim) * x_scale
-        y = rng.normal(size=metric.dim) * y_scale
-        d = rng.uniform(*delta_range)
-        v0 = m0.value(x, y)
-        if not v0.in_domain:
-            continue
-        vd = metric.with_delta(d).value(x, y)
-        if not vd.in_domain:
-            continue  # F_delta = +inf there: the inequality holds trivially
-        n_pairs += 1
-        gap = v0.value - vd.value
-        if gap > worst:
-            worst, worst_point = gap, (x.copy(), y.copy(), d)
+        # a block never holds more pairs than are still missing, so it
+        # ends where drawing one attempt at a time would
+        k = min(n_samples - n_pairs, 50 * n_samples - attempts)
+        attempts += k
+        draws = [(rng.normal(size=n), rng.normal(size=n), rng.uniform(*delta_range)) for _ in range(k)]
+        X, Y, D = (np.array(c) for c in zip(*draws))
+        X, Y = X * x_scale, Y * y_scale
+        f, _ = metric.value_many(np.vstack([X, X]), np.vstack([Y, Y]), np.concatenate([np.zeros(k), D]))
+        # where F_delta is undefined it is +inf, so the inequality holds trivially
+        ok = np.flatnonzero(~np.isnan(f[:k]) & ~np.isnan(f[k:]))
+        n_pairs += ok.size
+        if ok.size:
+            gaps = f[ok] - f[k + ok]
+            j = int(np.argmax(gaps))
+            if gaps[j] > worst:
+                i = ok[j]
+                worst, worst_point = float(gaps[j]), (X[i].copy(), Y[i].copy(), float(D[i]))
     if n_pairs == 0:
         raise InvalidInputError("no in-domain samples drawn; check the scales")
     return MonotonicityReport(max_violation=float(worst), n_pairs=n_pairs, worst_point=worst_point)
@@ -557,14 +586,9 @@ def lengths_over_lead_angles(metric: NavMetric, curve: CurveRecord, deltas) -> n
     Raises :class:`OutOfDomainError` if any requested lead angle loses
     the curve (the zero-lead length is then not comparable).
     """
-    deltas = np.asarray(deltas, dtype=float)
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    out = np.empty(deltas.size)
-    for k, d in enumerate(deltas):
-        m = metric.with_delta(float(d))
-        F = m.F_many(curve.positions, curve.velocities)
-        out[k] = float(trapz(F, curve.times))
-    return out
+    F = metric.F_many(curve.positions, curve.velocities, np.asarray(deltas, dtype=float)[None, :])
+    # contiguous rows, so each length sums in the same order as a lone 1-d trapezoid
+    return _trapezoid(np.ascontiguousarray(F.T), curve.times)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,27 @@ def test_f_many_matches_scalar():
     assert np.allclose(m.energy_many(X, Y), F**2, rtol=1e-14)
 
 
+def test_value_many_lead_angles_per_row_and_as_table():
+    m = _metric()
+    X = np.zeros((3, 2))
+    Y = np.array([[1.0, 0.0], [0.0, -2.0], [0.3, 0.1]])  # the last row follows v_T
+    deltas = np.array([0.0, 0.7, 1.5])
+    table, den = m.value_many(X, Y, deltas[None, :])
+    assert table.shape == den.shape == (3, 3)
+    for j, d in enumerate(deltas):
+        per_row, _ = m.value_many(X, Y, np.full(3, d))
+        np.testing.assert_array_equal(table[:, j], per_row)
+        for i in range(3):
+            mv = m.with_delta(d).value(X[i], Y[i])
+            assert mv.in_domain == (den[i, j] > 0.0)
+            assert table[i, j] == pytest.approx(mv.value, rel=1e-14, nan_ok=True)
+    assert np.isnan(table[2, 2])  # cos(1.5) v_M < |v_T|: no closing along the field
+    with pytest.raises(OutOfDomainError):
+        m.F_many(X, Y, deltas[None, :])
+    with pytest.raises(InvalidInputError):
+        m.value_many(X, Y, np.array([0.0, 0.0, math.pi / 2.0]))
+
+
 def test_f_many_raises_on_any_bad_row():
     m = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([2.0, 0.0]))
     X = np.zeros((2, 2))

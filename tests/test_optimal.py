@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parnav import (
     ConstantField,
     ConstantVelocity,
     InfeasibleControlError,
     InvalidInputError,
+    LinearField,
     NavMetric,
     NavMetricParams,
     OutOfDomainError,
@@ -29,6 +32,7 @@ from parnav import (
     pursuer_ode_residual,
     simulate,
 )
+from parnav.optimal import _maximized_hamiltonians
 from tests.conftest import CLOSING, DELTA0, THETA0
 
 
@@ -56,6 +60,145 @@ def test_maximized_hamiltonian_prefers_zero_lead(example_metric):
     h, dstar = maximized_hamiltonian(example_metric, x0, p, curve.velocities[0])
     assert abs(h) < 1e-6
     assert abs(dstar) < 1e-6
+
+
+def _reference_scan(score, grid_size=181, refine_tol=1e-8):
+    """The lead-angle scan one angle at a time: ``score(delta)`` is H or -inf."""
+    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, grid_size + 2)[1:-1]
+    vals = [score(float(d)) for d in grid]
+    i = int(np.argmax(vals))
+    if not math.isfinite(vals[i]):
+        raise OutOfDomainError("no lead angle closes")
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = score(x1), score(x2)
+    while b - a > refine_tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = score(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = score(x1)
+    xm = 0.5 * (a + b)
+    h, d = max((f1, x1), (f2, x2), (score(xm), xm))
+    return (vals[i], float(grid[i])) if vals[i] > h else (h, d)
+
+
+def _reference_maximizer(metric, x, p, direction, grid_size=181):
+    """Scores one lead angle at a time with the metric's row arithmetic: the same bits a batch sees."""
+    x, direction = x[None, :], direction[None, :]
+    X = direction / metric.with_delta(0.0).F_many(x, direction)[:, None]
+    pX = float(p @ X[0])
+
+    def score(delta):
+        f = float(metric.value_many(x, X, np.array([[delta]]))[0][0, 0])
+        return -math.inf if math.isnan(f) else pX - f
+
+    return _reference_scan(score, grid_size)
+
+
+def _scalar_score(metric, x, p, direction):
+    """``delta -> H`` through ``NavMetric.value``, one lead angle at a time."""
+    X = metric.with_delta(0.0).unit_vector(x, direction)
+    pX = float(p @ X)
+
+    def score(delta):
+        mv = metric.with_delta(delta).value(x, X)
+        return pX - mv.value if mv.in_domain else -math.inf
+
+    return score
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40)
+@given(
+    shear=st.booleans(),
+    v_m=st.floats(0.5, 300.0),
+    field=st.lists(unit, min_size=6, max_size=6),
+    points=st.lists(st.lists(unit, min_size=6, max_size=6), min_size=1, max_size=4),
+)
+def test_batched_scan_matches_reference(shear, v_m, field, points):
+    """Flat and shear points; some rows lose the large lead angles (-inf grid entries)."""
+    if shear:
+        f = LinearField([0.15 * field[0], 0.15 * field[1]], 0.3 * np.reshape(field[2:], (2, 2)))
+        metric = NavMetric(NavMetricParams(2.0, 0.0), f)
+        rows = [(2.0 * np.array(q[:2]), np.array(q[2:4]), np.array(q[4:])) for q in points]
+    else:
+        metric = NavMetric(NavMetricParams(v_m, 0.0), ConstantField(0.9 * v_m * np.array(field[:2]) / 2.0))
+        rows = [(1e3 * np.array(q[:2]), np.array(q[2:4]) / v_m, np.array(q[4:])) for q in points]
+    rows = [(x, p, d) for x, p, d in rows if np.linalg.norm(d) > 1e-3]
+    if not rows or any(metric.value(x, d).denominator <= 1e-9 * np.linalg.norm(d) for x, _, d in rows):
+        return
+    X, P, D = (np.array(c) for c in zip(*rows))
+    H, dstar = _maximized_hamiltonians(metric, X, P, D)
+    for k, (x, p, d) in enumerate(rows):
+        if not shear:  # a constant field rounds every row alike, batched or not
+            assert (H[k], dstar[k]) == _reference_maximizer(metric, x, p, d)
+        score = _scalar_score(metric, x, p, d)
+        h_ref, d_ref = _reference_scan(score)
+        assert abs(H[k] - h_ref) <= 1e-12
+        # last-bit differences in |y| and <y, v_T> can steer the golden steps
+        # across a top that is flat to roundoff; both angles must then score alike
+        assert abs(dstar[k] - d_ref) <= 2e-8 or abs(score(float(dstar[k])) - h_ref) <= 1e-12
+
+
+def test_batched_scan_with_out_of_domain_grid_entries():
+    # closing needs cos(delta) > 0.9: all but the central ~50 grid angles score -inf
+    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.9, 0.0]))
+    X = np.array([[-5.0, 0.0], [-5.0, 1.0], [3.0, -2.0]])
+    P = np.array([[1.0, 0.2], [-0.5, 0.3], [0.1, 0.1]])
+    D = np.array([[1.0, 0.0], [1.0, 0.1], [0.2, 1.0]])
+    H, dstar = _maximized_hamiltonians(metric, X, P, D)
+    for k in range(3):
+        assert (H[k], dstar[k]) == _reference_maximizer(metric, X[k], P[k], D[k])
+
+
+class _TiltedLead(NavMetric):
+    """Still-air metric whose lead-angle cost is least at a per-row ``tilt`` instead of 0."""
+
+    def __init__(self, tilt):
+        super().__init__(NavMetricParams(1.0, 0.0), ConstantField([0.0, 0.0]))
+        self.tilt = np.asarray(tilt, dtype=float)[:, None]
+
+    def value_many(self, X, Y, delta=None):
+        f, den = super().value_many(X, Y)
+        if delta is None:
+            return f, den
+        return f[:, None] * (1.0 + (np.asarray(delta) - self.tilt) ** 2), den[:, None]
+
+
+def test_batched_scan_argmax_at_grid_ends():
+    """End rows (half-width brackets) and interior rows refine side by side in one batch."""
+    end = math.pi / 2.0 - math.pi / 182.0  # outermost grid points are -end and +end
+    tilts = np.array([-2.0, -end + 0.005, 0.3, end - 0.005, 2.0])
+    expected = np.array([-end, -end + 0.005, 0.3, end - 0.005, end])
+    metric = _TiltedLead(tilts)
+    X = np.zeros((5, 2))
+    P = np.array([[0.3, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.2, 0.5], [0.0, 0.0]])
+    D = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0], [3.0, 1.0], [-1.0, 0.0]])
+    H, dstar = _maximized_hamiltonians(metric, X, P, D)
+    for k, tilt in enumerate(tilts):
+        h_ref, d_ref = _reference_maximizer(_TiltedLead([tilt]), X[k], P[k], D[k])
+        assert d_ref == pytest.approx(expected[k], abs=1e-7)
+        assert (H[k], dstar[k]) == (h_ref, d_ref)
+
+
+def test_batched_scan_raises_when_a_row_closes_for_no_grid_angle():
+    # two grid angles, +-pi/6, and cos(pi/6) < 0.9: the along-field row closes only near zero lead
+    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.9, 0.0]))
+    X = np.zeros((2, 2))
+    P = np.ones((2, 2))
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    _maximized_hamiltonians(metric, X[:1], P[:1], D[:1], grid_size=2)
+    with pytest.raises(OutOfDomainError):
+        _maximized_hamiltonians(metric, X, P, D, grid_size=2)
+    with pytest.raises(OutOfDomainError):
+        maximized_hamiltonian(metric, X[1], P[1], D[1], grid_size=2)
 
 
 def test_pmp_check_requires_unit_course(example_metric):
@@ -102,6 +245,15 @@ def test_optimal_trajectory_straight_case(example_scenario, example_metric):
     cross = rel[:, 0] * d0[1] - rel[:, 1] * d0[0]
     assert float(np.max(np.abs(cross))) < 1e-6
     assert np.linalg.norm(curve.positions[-1]) == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("hit_radius", [1e-3, 1e-2])
+def test_optimal_trajectory_small_hit_sphere(hit_radius):
+    """The line-of-sight pre-pass must not step over a sphere smaller than one step."""
+    sc = Scenario.nonmaneuvering(1000.0, 100.0, THETA0, ratio=2.0, hit_radius=hit_radius)
+    assert simulate(sc).termination == "intercept"
+    curve = optimal_trajectory(sc)
+    assert curve.times[-1] == pytest.approx((1000.0 - hit_radius) / 150.0, rel=1e-9)
 
 
 def test_optimal_trajectory_stationary_target():
