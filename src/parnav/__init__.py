@@ -2,8 +2,8 @@
 
 The package is organized by layer:
 
-- :mod:`parnav.metric`: the navigation metric, its domain, fundamental
-  tensor, and alpha-beta cross-checks;
+- :mod:`parnav.metric`: the navigation metric, its domain, closed-form
+  spray, fundamental tensor, and alpha-beta cross-checks;
 - :mod:`parnav.geodesics`: sprays, the Berwald connection, geodesic
   integration, action integrals, Euler-Lagrange residuals;
 - :mod:`parnav.kinematics`: engagement simulation under the
@@ -37,7 +37,6 @@ from .metric import (
 )
 from .geodesics import (
     CurveRecord,
-    GeodesicProblem,
     action_integral,
     berwald_coefficients,
     covariant_derivative,
@@ -49,7 +48,6 @@ from .geodesics import (
 from .kinematics import (
     ConstantVelocity,
     PiecewiseConstant,
-    PursuitState,
     Scenario,
     SimResult,
     Waypoints,

@@ -1,21 +1,18 @@
 """Geodesic flow of the navigation metric.
 
-Everything here works with the energy ``E = F^2`` of a metric object
-exposing ``energy_many`` / ``F_many`` (see :mod:`parnav.metric`).  The
-spray coefficients
-
-    G^i(x, y) = 1/4 g^{il} ( d2E/(dy^l dx^k) y^k - dE/dx^l )
-
-drive the geodesic equation ``x'' = -2 G(x, x')``; their second
-y-derivatives are the Berwald connection coefficients ``G^i_jk`` used by
-the covariant derivative of vector fields along curves.  All derivatives
-are finite differences with the step policy of :mod:`parnav.numdiff`.
+Everything here works with a metric object exposing ``F_many``,
+``energy_many`` (``E = F^2``) and ``spray_many`` (see :mod:`parnav.metric`).
+The spray coefficients ``G^i = 1/4 g^{il} (d2E/(dy^l dx^k) y^k - dE/dx^l)``
+drive the geodesic equation ``x'' = -2 G(x, x')``; the metric evaluates
+them in closed form.  Their second y-derivatives, the Berwald connection
+``G^i_jk`` of the covariant derivative along curves, and the
+Euler-Lagrange residual are finite differences (:mod:`parnav.numdiff`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +22,6 @@ from . import numdiff
 __all__ = [
     "CurveRecord",
     "curve_from_arrays",
-    "GeodesicProblem",
     "spray_coefficients",
     "berwald_coefficients",
     "covariant_derivative",
@@ -87,13 +83,8 @@ def curve_from_arrays(metric, times, positions, velocities) -> CurveRecord:
 
 
 def spray_coefficients(metric, x, y) -> np.ndarray:
-    """Geodesic spray ``G^i(x, y)`` of the metric's energy."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g = metric.fundamental_tensor(x, y)
-    mixed = numdiff.xy_mixed(metric.energy_many, x, y)
-    dEdx = numdiff.x_gradient(metric.energy_many, x, y)
-    return 0.25 * np.linalg.solve(g, mixed @ y - dEdx)
+    """Geodesic spray ``G^i(x, y)``: the 1-row call of ``metric.spray_many``."""
+    return metric.spray_many(np.asarray(x, dtype=float)[None, :], np.asarray(y, dtype=float)[None, :])[0]
 
 
 def berwald_coefficients(metric, x, y) -> np.ndarray:
@@ -133,34 +124,23 @@ def covariant_derivative(metric, curve: CurveRecord, Y, variant: str = "quadrati
     connection is evaluated along the curve's own velocity ``v``.  Both
     are returned on the curve's time grid.
     """
-    if variant not in ("quadratic", "affine"):
-        raise InvalidInputError(f"unknown variant {variant!r}")
     Y = np.asarray(Y, dtype=float)
     if Y.shape != curve.positions.shape:
         raise InvalidInputError("Y must be sampled on the curve's grid")
+    return _covariant_rate([metric] * curve.n_nodes, curve, Y, variant)
+
+
+def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) -> np.ndarray:
+    """:func:`covariant_derivative` with node ``i``'s connection taken from ``metrics[i]``."""
+    if variant not in ("quadratic", "affine"):
+        raise InvalidInputError(f"unknown variant {variant!r}")
     dY = np.gradient(Y, curve.times, axis=0, edge_order=2)
     out = np.empty_like(Y)
-    for i in range(curve.n_nodes):
-        B = berwald_coefficients(metric, curve.positions[i], curve.velocities[i])
-        if variant == "quadratic":
-            out[i] = dY[i] + np.einsum("ijk,j,k->i", B, Y[i], Y[i])
-        else:
-            out[i] = dY[i] + np.einsum("ijk,j,k->i", B, curve.velocities[i], Y[i])
+    for i, m in enumerate(metrics):
+        B = berwald_coefficients(m, curve.positions[i], curve.velocities[i])
+        Z = Y[i] if variant == "quadratic" else curve.velocities[i]
+        out[i] = dY[i] + np.einsum("ijk,j,k->i", B, Z, Y[i])
     return out
-
-
-@dataclass(frozen=True)
-class GeodesicProblem:
-    """Initial-value problem for the geodesic flow, solved by fixed-step RK4."""
-
-    metric: object
-    x0: np.ndarray
-    y0: np.ndarray
-    horizon: float
-    step: float = 1e-3
-
-    def solve(self) -> CurveRecord:
-        return integrate_geodesic(self.metric, self.x0, self.y0, self.horizon, self.step)
 
 
 def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> CurveRecord:

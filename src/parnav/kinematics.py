@@ -32,7 +32,6 @@ __all__ = [
     "PiecewiseConstant",
     "Waypoints",
     "Scenario",
-    "PursuitState",
     "SimResult",
     "pn_lead_angle",
     "polar_rates",
@@ -262,22 +261,6 @@ def _resolve_speed(ratio, pursuer_speed, target_speed) -> float:
 
 
 @dataclass(frozen=True)
-class PursuitState:
-    """Snapshot of the engagement at one node."""
-
-    t: float
-    r: np.ndarray
-    r_m: np.ndarray
-    r_t: np.ndarray
-    v_m: np.ndarray
-    v_t: np.ndarray
-    lam: float
-    theta: float
-    delta: float
-    F: float
-
-
-@dataclass(frozen=True)
 class SimResult:
     """Struct-of-arrays record of one simulated engagement.
 
@@ -313,13 +296,6 @@ class SimResult:
     @property
     def t_f(self) -> float:
         return float(self.times[-1])
-
-    def state(self, i: int) -> PursuitState:
-        return PursuitState(
-            float(self.times[i]), self.r[i], self.r_m[i], self.r_t[i],
-            self.v_m[i], self.v_t[i],
-            float(self.lam[i]), float(self.theta[i]), float(self.delta[i]), float(self.F[i]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ class ConstantField:
     def many(self, X: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self.value, X.shape)
 
+    def jacobian(self, X: np.ndarray) -> None:
+        return None  # no spatial derivative
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConstantField({self.value.tolist()})"
 
@@ -78,7 +81,11 @@ class LinearField:
         return self.base + self.gradient @ np.asarray(x, dtype=float)
 
     def many(self, X: np.ndarray) -> np.ndarray:
-        return self.base[None, :] + X @ self.gradient.T
+        # a stacked product rounds each row like the 1-row call (X @ G.T does not)
+        return self.base + (self.gradient @ X[:, :, None])[:, :, 0]
+
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        return self.gradient  # d v_T^i / dx^k, the same at every row
 
 
 class _CallableField:
@@ -91,6 +98,9 @@ class _CallableField:
 
     def many(self, X: np.ndarray) -> np.ndarray:
         return np.asarray([self(row) for row in X])
+
+    def jacobian(self, X: np.ndarray) -> np.ndarray:
+        return np.asarray([numdiff.x_jacobian(self, row) for row in np.asarray(X, dtype=float)])
 
 
 def as_field(obj, dim: int | None = None):
@@ -148,6 +158,13 @@ def _closing_quotient(c, ny, yv):
     return ny * ny / np.where(den > 0.0, den, np.nan), den
 
 
+def _require_closing(den) -> None:
+    if (den <= 0.0).any():
+        raise OutOfDomainError(
+            f"batch contains a non-closing velocity (min denominator {den.min():.6g})"
+        )
+
+
 class NavMetric:
     """The navigation metric ``F(x, y)`` for one (v_m, delta) and one field."""
 
@@ -178,17 +195,22 @@ class NavMetric:
             )
         return mv.value
 
+    def _closing_terms(self, X, Y):
+        """``(Y, |y|, <y, v_T(x)>, v_T(x))`` row-wise; raises at a zero velocity."""
+        Y = np.asarray(Y, dtype=float)
+        ny = np.sqrt(np.add.reduce(Y * Y, axis=1))
+        if (ny == 0.0).any():
+            raise InvalidInputError("metric is undefined at the zero velocity")
+        V = self.field.many(np.asarray(X, dtype=float))
+        return Y, ny, np.einsum("ij,ij->i", Y, V), V
+
     def value_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise ``(F, denominator)`` without the domain gate (F is NaN outside it).
 
         ``delta`` overrides the lead angle per row (``(m,)``) or as an
         ``(m, k)`` / ``(1, k)`` table sharing each row's ``|y|`` and ``<y, v_T>``.
         """
-        Y = np.asarray(Y, dtype=float)
-        ny = np.sqrt(np.add.reduce(Y * Y, axis=1))
-        if (ny == 0.0).any():
-            raise InvalidInputError("metric is undefined at the zero velocity")
-        yv = np.einsum("ij,ij->i", Y, self.field.many(np.asarray(X, dtype=float)))
+        _, ny, yv, _ = self._closing_terms(X, Y)
         c = self.params.v_m * self.params.cos_delta
         if delta is not None:
             delta = np.asarray(delta, dtype=float)
@@ -201,11 +223,43 @@ class NavMetric:
 
     def F_many(self, X: np.ndarray, Y: np.ndarray, delta=None) -> np.ndarray:
         f, den = self.value_many(X, Y, delta)
-        if (den <= 0.0).any():
-            raise OutOfDomainError(
-                f"batch contains a non-closing velocity (min denominator {den.min():.6g})"
-            )
+        _require_closing(den)
         return f
+
+    def spray_many(self, X, Y) -> np.ndarray:
+        """Row-wise geodesic spray ``G^i(x, y)`` in closed form (geodesics solve ``x'' = -2 G``).
+
+        ``F`` is ``1/c`` (``c = v_M cos delta``) times the Matsumoto metric
+        ``alpha phi(beta/alpha)``, ``phi(s) = 1/(1 - s)``, with ``alpha = |y|``,
+        ``beta = <b, y>`` and ``b = v_T(x)/c``; a constant factor leaves the
+        spray alone.  For Euclidean alpha, Chern & Shen (*Riemann-Finsler
+        Geometry*, 2005) give, with ``s = beta/alpha``,
+
+            G^i = alpha Q s^i_0 + (r_00 - 2 Q alpha s_0) (Psi b^i + Theta y^i / alpha),
+            Q = 1/(1 - 2s),  Psi = 1/(1 + 2|b|^2 - 3s),  Theta = (1 - 4s)/(2(1 + 2|b|^2 - 3s)),
+
+        where ``r_ij`` and ``s_ij`` are the symmetric and skew parts of
+        ``db_i/dx^j`` (the field Jacobian over ``c``), ``s^i_0 = s_ij y^j``,
+        ``s_0 = b^i s_ij y^j`` and ``r_00 = r_ij y^i y^j``.  Rows outside the
+        domain raise as in :meth:`F_many`; a field without a Jacobian gives zeros.
+        """
+        Y, ny, yv, V = self._closing_terms(X, Y)
+        c = self.params.v_m * self.params.cos_delta
+        _require_closing(c * ny - yv)
+        J = self.field.jacobian(X)
+        if J is None:
+            return np.zeros_like(Y)
+        A = J / c  # db_i/dx^j
+        Ay = (A @ Y[:, :, None])[:, :, 0]
+        s_i0 = 0.5 * (Ay - (Y[:, None, :] @ A)[:, 0, :])
+        b = V / c
+        s = yv / (c * ny)
+        Q = 1.0 / (1.0 - 2.0 * s)
+        r_00 = np.einsum("ij,ij->i", Y, Ay)
+        s_0 = np.einsum("ij,ij->i", b, s_i0)
+        Psi = 1.0 / (1.0 + 2.0 * np.einsum("ij,ij->i", b, b) - 3.0 * s)
+        k = (r_00 - 2.0 * Q * ny * s_0) * Psi  # Theta = (1 - 4s) Psi / 2
+        return (ny * Q)[:, None] * s_i0 + k[:, None] * (b + (0.5 * (1.0 - 4.0 * s) / ny)[:, None] * Y)
 
     def energy_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         f = self.F_many(X, Y)
@@ -278,32 +332,6 @@ class AlphaBetaMetric:
         if not mv.in_domain:
             raise OutOfDomainError(f"outside {self.kind} domain (denominator {mv.denominator:.6g})")
         return mv.value
-
-    def F_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        Y = np.asarray(Y, dtype=float)
-        alpha = np.sqrt(np.einsum("ij,jk,ik->i", Y, self.a, Y))
-        if np.any(alpha == 0.0):
-            raise InvalidInputError("metric is undefined at the zero velocity")
-        beta = Y @ self.b
-        if self.kind == "randers":
-            vals = alpha + beta
-            if np.any(vals <= 0.0):
-                raise OutOfDomainError("outside randers domain")
-            return vals
-        den = alpha - beta
-        if np.any(den <= 0.0):
-            raise OutOfDomainError("outside matsumoto domain")
-        return alpha * alpha / den
-
-    def energy_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        f = self.F_many(X, Y)
-        return f * f
-
-    def fundamental_tensor(self, x, y, h: float | None = None) -> np.ndarray:
-        x = np.zeros(self.dim) if x is None else np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.F(x, y)
-        return 0.5 * numdiff.y_hessian(self.energy_many, x, y, h=h)
 
 
 def matsumoto_form(params: NavMetricParams, v_t) -> tuple[float, AlphaBetaMetric]:

@@ -1,11 +1,12 @@
 """Finite-difference backend for metric derivatives.
 
-All differentiation in the toolkit funnels through this module so the
-step-size policy lives in exactly one place.  Functions differentiate a
-*batched* energy callable ``energy_many(X, Y) -> (m,)`` evaluating
-``F(x_i, y_i)**2`` row-wise; batching matters because a full Hessian
-stencil is a single vectorized metric evaluation instead of ``O(n^2)``
-scalar calls.
+The spray is in closed form (``NavMetric.spray_many``).  What is still
+differenced -- the Euler-Lagrange residual, the certificate's costates,
+the fundamental tensor, callable-field Jacobians, the Berwald stencil and
+the tests' spray oracle -- funnels through this module so the step-size
+policy lives in one place.  Energy derivatives take a *batched* callable
+``energy_many(X, Y) -> (m,)`` evaluating ``F(x_i, y_i)**2`` row-wise, so a
+full Hessian stencil is one vectorized metric evaluation.
 
 Step sizes are relative.  Velocity-slot steps scale with ``|y|`` (the
 energy is 2-homogeneous in ``y``, so the natural length scale is the
@@ -13,9 +14,9 @@ point itself); position-slot steps scale with ``1 + |x|`` so they stay
 sane near the origin.  The defaults below were chosen by measuring the
 Euler-identity defect ``g_ij y^i y^j - F^2`` across the working range of
 magnitudes: ``1e-4 * |y|`` keeps it near 1e-7 even for ``|y| ~ 1e3``,
-while much smaller steps drown in roundoff.  The spray/Berwald constants
-are deliberately coarser because those quantities get second-differenced
-again downstream, which amplifies evaluation noise by ``4 / h^2``.
+while much smaller steps drown in roundoff.  The position-slot and
+Berwald constants are deliberately coarser because those quantities get
+second-differenced again downstream, amplifying noise by ``4 / h^2``.
 """
 
 from __future__ import annotations
@@ -26,19 +27,20 @@ import numpy as np
 
 __all__ = [
     "H_REL_Y",
-    "SPRAY_REL",
+    "H_REL_X",
     "BERWALD_REL",
     "y_gradient",
     "y_hessian",
     "x_gradient",
     "xy_mixed",
+    "x_jacobian",
     "directional_second",
 ]
 
 # Velocity-slot step for gradients/Hessians of the energy.
 H_REL_Y = 1e-4
-# Coarser steps feeding the spray solve (mixed x/y stencils).
-SPRAY_REL = 1e-3
+# Position-slot step (energy x-gradients, field Jacobians); xy_mixed uses it in both slots.
+H_REL_X = 1e-3
 # Directional step for second y-derivatives of the spray (4th-order stencil).
 BERWALD_REL = 5e-2
 
@@ -75,7 +77,7 @@ def x_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of the energy in its position slot."""
     n = x.size
-    h = _x_step(x, h, SPRAY_REL)
+    h = _x_step(x, h, H_REL_X)
     eye = np.eye(n) * h
     X = np.concatenate([x + eye, x - eye])
     Y = np.broadcast_to(y, (2 * n, n))
@@ -133,8 +135,8 @@ def xy_mixed(
 ) -> np.ndarray:
     """Mixed second derivatives ``M[l, k] = d2 E / (dy_l dx_k)``."""
     n = x.size
-    hx = _x_step(x, hx, SPRAY_REL)
-    hy = _y_step(y, hy, SPRAY_REL)
+    hx = _x_step(x, hx, H_REL_X)
+    hy = _y_step(y, hy, H_REL_X)
     X_off = np.eye(n) * hx
     Y_off = np.eye(n) * hy
     # Rows ordered as (sx, sy, k, l) over signs sx, sy in {+, -}.
@@ -149,6 +151,12 @@ def xy_mixed(
     vals = energy_many(np.asarray(X_rows), np.asarray(Y_rows)).reshape(2, 2, n, n)
     mixed_kl = (vals[0, 0] - vals[0, 1] - vals[1, 0] + vals[1, 1]) / (4.0 * hx * hy)
     return mixed_kl.T  # -> [l, k]
+
+
+def x_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float | None = None) -> np.ndarray:
+    """Central-difference Jacobian ``J[i, k] = d f_i / dx_k`` of a vector map."""
+    h = _x_step(x, h, H_REL_X)
+    return np.stack([f(x + e) - f(x - e) for e in np.eye(x.size) * h], axis=1) / (2.0 * h)
 
 
 def directional_second(

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .geodesics import (
     CurveRecord,
+    _covariant_rate,
     _trapezoid,
-    berwald_coefficients,
     euler_lagrange_residual,
     spray_coefficients,
 )
@@ -436,8 +436,10 @@ def optimal_trajectory(
     :class:`UnreachableError` is raised rather than shooting blind.
     ``field`` overrides the target velocity field (defaults to the
     scenario's constant program); non-constant programs require an
-    explicit field.
+    explicit field.  ``step`` must be positive and finite.
     """
+    if step is not None and not (0.0 < step < math.inf):
+        raise InvalidInputError(f"step must be positive and finite, got {step!r}")
     if field is None:
         if not isinstance(scenario.program, ConstantVelocity):
             raise InvalidInputError("non-constant programs need an explicit velocity field")
@@ -626,25 +628,11 @@ def pursuer_ode_residual(
     d1 = np.gradient(pursuer_curve.positions, pursuer_curve.times, axis=0, edge_order=2)
     accel = np.gradient(d1, pursuer_curve.times, axis=0, edge_order=2)
 
-    lhs = np.empty_like(accel)
-    for i in range(N):
-        mi = metric.with_delta(float(deltas[i]))
-        G = spray_coefficients(mi, course_curve.positions[i], course_curve.velocities[i])
-        lhs[i] = accel[i] + 2.0 * G
-
+    metrics = [metric.with_delta(float(d)) for d in deltas]
+    G = [spray_coefficients(m, x, v) for m, x, v in zip(metrics, course_curve.positions, course_curve.velocities)]
+    lhs = accel + 2.0 * np.asarray(G)
     # covariant rate of the target velocity along the course, per-node delta
-    Y = target_curve.velocities
-    dY = np.gradient(Y, course_curve.times, axis=0, edge_order=2)
-    rhs = np.empty_like(Y)
-    for i in range(N):
-        mi = metric.with_delta(float(deltas[i]))
-        B = berwald_coefficients(mi, course_curve.positions[i], course_curve.velocities[i])
-        if variant == "quadratic":
-            rhs[i] = dY[i] + np.einsum("ijk,j,k->i", B, Y[i], Y[i])
-        elif variant == "affine":
-            rhs[i] = dY[i] + np.einsum("ijk,j,k->i", B, course_curve.velocities[i], Y[i])
-        else:
-            raise InvalidInputError(f"unknown variant {variant!r}")
+    rhs = _covariant_rate(metrics, course_curve, target_curve.velocities, variant)
     return np.linalg.norm(lhs - rhs, axis=1)
 
 

@@ -185,6 +185,17 @@ def test_optimal_unreachable_exit_code(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_solver_step_must_be_positive_and_finite(tmp_path, capsys, mode, step):
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "x.out"
+    code = cli.main([mode, str(path), "--out", str(out), "--step", step, "--quiet"])
+    assert code == 2
+    assert "step must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pmp_check_report(tmp_path):
     path = write_scenario(tmp_path, scenario_doc())
     out = tmp_path / "report.json"

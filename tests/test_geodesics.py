@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parnav import (
     ConstantField,
     CurveRecord,
-    GeodesicProblem,
     InvalidInputError,
     LinearField,
     NavMetric,
@@ -22,8 +23,18 @@ from parnav import (
     curve_from_arrays,
     euler_lagrange_residual,
     integrate_geodesic,
+    numdiff,
     spray_coefficients,
+    strong_convexity_margin,
 )
+
+
+def _fd_spray(metric, x, y):
+    """Finite-difference spray ``1/4 g^{-1} (d2E/dydx y - dE/dx)``, the oracle for the closed form."""
+    g = metric.fundamental_tensor(x, y)
+    mixed = numdiff.xy_mixed(metric.energy_many, x, y)
+    dEdx = numdiff.x_gradient(metric.energy_many, x, y)
+    return 0.25 * np.linalg.solve(g, mixed @ y - dEdx)
 
 
 def test_curve_record_validation(shear_metric):
@@ -61,7 +72,107 @@ def test_spray_second_order_homogeneity(shear_metric):
     y = shear_metric.unit_vector(x, np.array([1.0, -0.4]))
     G1 = spray_coefficients(shear_metric, x, y)
     G2 = spray_coefficients(shear_metric, x, 2.0 * y)
-    np.testing.assert_allclose(G2, 4.0 * G1, rtol=1e-8, atol=1e-12)
+    # doubling y scales every intermediate by a power of two: measured error 0
+    np.testing.assert_allclose(G2, 4.0 * G1, rtol=0.0, atol=0.0)
+
+
+# (v_M, delta, base, gradient, x, y, G) with G from exact symbolic derivatives of
+# E = F^2 in G = 1/4 g^{-1} (d2E/dydx y - dE/dx) (sympy 1.14, inputs taken as
+# their exact binary values, evaluated with mpmath at 50 digits, kept to 40)
+_SHEAR = ([0.1, 0.0], [[0.0, 0.45], [0.0, 0.0]])
+_SKEW = ([0.12, -0.05], [[0.1, -0.2], [0.25, -0.05]])
+_FIELD3 = ([0.1, -0.2, 0.05], [[0.05, 0.2, -0.1], [-0.15, 0.0, 0.3], [0.1, -0.25, 0.05]])
+SPRAY_REFERENCE = [
+    (2.0, 0.0, *_SHEAR, [-1.2, 0.7], [0.9, -0.35],
+     ["-0.08993483005034563180008859301252722643732", "-0.1557812429767427844931202459672291623302"]),
+    (2.0, 0.0, *_SHEAR, [0.3, -0.8], [-0.4, 1.1],
+     ["0.1762934475870433932071246108675080353349", "0.03306365173264487343028785950515659413685"]),
+    (2.0, 0.0, *_SHEAR, [-1.6, 0.9], [1.7, -0.2],
+     ["-0.1023364049108366804898779490493255541964", "-0.6567767258438062759773564914994801398136"]),
+    (2.0, 0.3, *_SKEW, [0.5, 0.4], [-1.0, 0.3],
+     ["-0.05772978909152452711410676950621245802352", "-0.1054960213539614351730338352628965165693"]),
+    (2.0, 0.3, *_SKEW, [-0.9, 1.3], [0.2, -0.7],
+     ["0.08168110928196405701729598813619941883197", "0.01557010376522990162948252641133674595528"]),
+    (2.0, 0.3, *_SKEW, [1.1, -0.6], [-2.5, 1.5],
+     ["-0.5900707237230584847783010481459100822091", "-0.5444513944749273747029871636631623592911"]),
+    (3.0, -0.2, *_FIELD3, [0.4, -0.7, 0.9], [-0.6, 1.0, -0.8],
+     ["0.1050072474886046680788552130892989566613", "-0.03901128968716129238422163796739474859225",
+      "-0.1553376234127061326058545772284350551454"]),
+    (3.0, -0.2, *_FIELD3, [-1.2, 0.3, 0.5], [1.4, 0.2, -0.3],
+     ["0.06120796418239173794582453257516774131552", "-0.1652477599415379453588402662367613285829",
+      "0.03646152381915900117398707764754674033490"]),
+]
+
+
+@pytest.mark.parametrize("v_m, delta, base, gradient, x, y, expected", SPRAY_REFERENCE)
+def test_spray_matches_symbolic_reference(v_m, delta, base, gradient, x, y, expected):
+    m = NavMetric(NavMetricParams(v_m, delta), LinearField(base, gradient))
+    G = spray_coefficients(m, np.array(x), np.array(y))
+    ref = np.array([float(v) for v in expected])
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40)
+@given(
+    dim=st.sampled_from([2, 3]),
+    v_m=st.floats(1.5, 3.0),
+    delta=st.floats(-0.6, 0.6),
+    field=st.lists(unit, min_size=12, max_size=12),
+    rows=st.lists(st.lists(unit, min_size=6, max_size=6), min_size=1, max_size=5),
+)
+def test_spray_many_rows_match_single_row_and_finite_differences(dim, v_m, delta, field, rows):
+    f = LinearField(0.3 * np.array(field[:dim]), 0.3 * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
+    m = NavMetric(NavMetricParams(v_m, delta), f)
+    X = 2.0 * np.array([r[:dim] for r in rows])
+    Y = 2.0 * np.array([r[3 : 3 + dim] for r in rows])
+    # keep strongly convex rows: the oracle inverts the fundamental tensor
+    keep = [
+        k for k in range(len(rows))
+        if np.linalg.norm(Y[k]) > 1e-2 and strong_convexity_margin(m.params, f(X[k])) > 0.05
+    ]
+    if not keep:
+        return
+    X, Y = X[keep], Y[keep]
+    G = m.spray_many(X, Y)
+    c = v_m * math.cos(delta)
+    for x, y, g in zip(X, Y, G):
+        assert np.array_equal(g, spray_coefficients(m, x, y))
+        # each term of the closed form is of size |y|^2 |dv_T/dx| / c
+        scale = float(y @ y) * np.linalg.norm(f.gradient) / c
+        assert np.linalg.norm(g - _fd_spray(m, x, y)) <= 1e-4 * max(np.linalg.norm(g), scale)
+
+
+def test_spray_of_linear_field_calls_no_finite_difference(shear_metric, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed-form spray must not difference")
+
+    for name in numdiff.__all__:
+        if callable(getattr(numdiff, name)):
+            monkeypatch.setattr(numdiff, name, forbidden)
+    x = np.array([-1.2, 0.7])
+    y = np.array([0.9, -0.35])
+    assert np.all(np.isfinite(spray_coefficients(shear_metric, x, y)))
+
+
+def test_callable_field_spray_matches_linear_field(shear_metric):
+    f = shear_metric.field
+    wrapped = NavMetric(shear_metric.params, as_field(lambda x: f.base + f.gradient @ x, dim=2))
+    X = np.array([[-1.2, 0.7], [0.3, -0.8]])
+    Y = np.array([[0.9, -0.35], [-0.4, 1.1]])
+    np.testing.assert_allclose(wrapped.spray_many(X, Y), shear_metric.spray_many(X, Y), rtol=1e-9)
+
+
+def test_spray_many_gates_the_domain():
+    m = NavMetric(NavMetricParams(1.0, 0.0), LinearField([2.0, 0.0], np.eye(2)))
+    with pytest.raises(OutOfDomainError):
+        m.spray_many(np.zeros((2, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(InvalidInputError):
+        m.spray_many(np.zeros((1, 2)), np.zeros((1, 2)))
+    flat = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.5, 0.0]))
+    assert np.array_equal(flat.spray_many(np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]])), np.zeros((2, 2)))
 
 
 def test_berwald_symmetry_and_contraction(shear_metric):
@@ -72,7 +183,7 @@ def test_berwald_symmetry_and_contraction(shear_metric):
     np.testing.assert_allclose(B, np.swapaxes(B, 1, 2), atol=1e-12)
     G = spray_coefficients(shear_metric, x, y)
     contraction = 0.5 * np.einsum("ijk,j,k->i", B, y, y)
-    np.testing.assert_allclose(contraction, G, atol=1e-4)
+    np.testing.assert_allclose(contraction, G, atol=4.1e-6)  # 10x the measured 4.09e-7
 
 
 def test_covariant_derivative_flat_reduces_to_plain_derivative(example_metric):
@@ -102,10 +213,9 @@ def test_integrate_geodesic_step_must_divide_horizon(shear_metric, shear_start):
         integrate_geodesic(shear_metric, x0, y0, horizon=1.0, step=0.3)
 
 
-def test_geodesic_problem_wrapper(shear_metric, shear_start):
+def test_integrate_geodesic_short_horizon(shear_metric, shear_start):
     x0, y0 = shear_start
-    prob = GeodesicProblem(shear_metric, x0, y0, horizon=0.5, step=1e-2)
-    curve = prob.solve()
+    curve = integrate_geodesic(shear_metric, x0, y0, horizon=0.5, step=1e-2)
     assert curve.n_nodes == 51
     np.testing.assert_allclose(curve.positions[0], x0)
 
