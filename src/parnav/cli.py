@@ -282,7 +282,6 @@ def _write_record(args, mode: str, canonical: str, summary: dict) -> None:
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "parnav", "version": __version__},
         "mode": mode,
-        "seed": args.seed,
         "scenario_digest": _digest(canonical),
         "table": Path(args.out).name,
         "summary": summary,
@@ -297,7 +296,10 @@ def _write_record(args, mode: str, canonical: str, summary: dict) -> None:
 
 
 def _load(args):
-    text = Path(args.scenario).read_text()
+    try:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"scenario file is not valid UTF-8: {exc}") from exc
     return parse_scenario_text(text)
 
 
@@ -449,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", required=True, help="output table/report path")
         p.add_argument("--record", default=None, help="run-record path (default: OUT.record.json)")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded with the run")
         p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("simulate", help="integrate the parallel-navigation engagement")
@@ -479,7 +480,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable scenario, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except InvalidInputError as exc:

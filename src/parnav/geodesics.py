@@ -7,6 +7,12 @@ drive the geodesic equation ``x'' = -2 G(x, x')``; the metric evaluates
 them in closed form.  Their second y-derivatives, the Berwald connection
 ``G^i_jk`` of the covariant derivative along curves, and the
 Euler-Lagrange residual are finite differences (:mod:`parnav.numdiff`).
+
+Every numpy RK4 integration in the package takes its steps with
+:func:`_rk4_step`: geodesics step the state ``z = (x, y)`` through the
+first-order field of :func:`_geodesic_field`, and the shooter's
+line-of-sight pre-pass steps ``x' = rate(x)``.  The scalar simulator core
+in :mod:`parnav.kinematics` keeps its own float-only stages.
 """
 
 from __future__ import annotations
@@ -143,55 +149,58 @@ def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) ->
     return out
 
 
+def _rk4_step(f, z, h: float, k1=None) -> np.ndarray:
+    """One classical RK4 step of ``z' = f(z)``; ``k1`` is ``f(z)`` if the caller has it."""
+    if k1 is None:
+        k1 = f(z)
+    k2 = f(z + 0.5 * h * k1)
+    k3 = f(z + 0.5 * h * k2)
+    k4 = f(z + h * k3)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _geodesic_field(metric, spray):
+    """``z = (x, y) -> (y, -2 G(x, y))``, the geodesic equation as a first-order field.
+
+    ``z`` is a ``(2, n)`` array; ``spray(metric, x, y)`` evaluates ``G``.
+    """
+    return lambda z: np.array((z[1], -2.0 * spray(metric, z[0], z[1])))
+
+
+def _curve_from_states(metric, times, states) -> CurveRecord:
+    """:func:`curve_from_arrays` on a list of ``(2, n)`` states ``(x, y)``."""
+    Z = np.array(states)
+    return curve_from_arrays(metric, times, Z[:, 0].copy(), Z[:, 1].copy())
+
+
 def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> CurveRecord:
     """Integrate ``x'' = -2 G(x, x')`` with classical RK4.
 
-    ``horizon`` must be an integer multiple of ``step`` (to 1e-9
-    relative).  If any RK4 stage needs the metric outside its domain, a
-    :class:`PartialCurveError` carrying the completed prefix is raised.
+    ``horizon`` and ``step`` must be positive and finite, and ``horizon``
+    an integer multiple of ``step`` (to 1e-9 relative).  If any RK4 stage
+    needs the metric outside its domain, a :class:`PartialCurveError`
+    carrying the completed prefix is raised.
     """
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float)
-    if horizon <= 0.0 or step <= 0.0:
-        raise InvalidInputError("horizon and step must be positive")
+    if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
+        raise InvalidInputError("horizon and step must be positive and finite")
     n_steps = int(round(horizon / step))
     if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
         raise InvalidInputError("horizon must be an integer multiple of step")
 
-    def accel(xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
-        return -2.0 * spray_coefficients(metric, xx, yy)
-
-    times = [0.0]
-    positions = [x.copy()]
-    velocities = [y.copy()]
+    f = _geodesic_field(metric, spray_coefficients)
+    states = [np.array((x0, y0), dtype=float)]
     for k in range(n_steps):
         try:
-            a1 = accel(x, y)
-            k1x, k1y = y, a1
-            a2 = accel(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
-            k2x, k2y = y + 0.5 * step * k1y, a2
-            a3 = accel(x + 0.5 * step * k2x, y + 0.5 * step * k2y)
-            k3x, k3y = y + 0.5 * step * k2y, a3
-            a4 = accel(x + step * k3x, y + step * k3y)
-            k4x, k4y = y + step * k3y, a4
+            states.append(_rk4_step(f, states[-1], step))
         except OutOfDomainError as exc:
-            partial = curve_from_arrays(
-                metric, np.asarray(times), np.asarray(positions), np.asarray(velocities)
-            ) if len(times) >= 2 else None
+            partial = _curve_from_states(metric, np.arange(k + 1) * step, states) if k >= 1 else None
             raise PartialCurveError(
                 f"geodesic left the metric domain during step {k} (t = {k * step:.6g})",
                 partial=partial,
             ) from exc
-        x = x + (step / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (step / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        times.append((k + 1) * step)
-        positions.append(x.copy())
-        velocities.append(y.copy())
 
     try:
-        return curve_from_arrays(
-            metric, np.asarray(times), np.asarray(positions), np.asarray(velocities)
-        )
+        return _curve_from_states(metric, np.arange(n_steps + 1) * step, states)
     except OutOfDomainError as exc:  # final node slipped out between stages
         raise PartialCurveError("geodesic endpoint left the metric domain", partial=None) from exc
 

@@ -563,6 +563,16 @@ def _engagement_basis(r0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2])
 
 
+def _engagement_plane(r0: np.ndarray, v: np.ndarray):
+    """``(basis, basis @ r0, basis @ v)``: a 3-d ``r0`` and velocity in their own plane.
+
+    ``basis`` is :func:`_engagement_basis`; plane arrays lift back to 3-d
+    as ``arr @ basis``.
+    """
+    basis = _engagement_basis(r0, v)
+    return basis, basis @ r0, basis @ v
+
+
 def simulate(scenario: Scenario) -> SimResult:
     """Integrate the engagement until contact, infeasibility, or timeout.
 
@@ -571,18 +581,12 @@ def simulate(scenario: Scenario) -> SimResult:
     time is refined so the final node sits on the sphere to ~1e-9 of a
     step.  On timeout the final node lands exactly at ``t_max``.
     """
-    basis = None
+    basis, r0, program = None, scenario.r0, scenario.program
     if scenario.dim == 3:
-        v3 = scenario.program.vector
-        basis = _engagement_basis(scenario.r0, v3)
-        r0p = basis @ scenario.r0
-        vp = basis @ v3
-        program = ConstantVelocity.from_vector(vp)
-        segs = program.planar_segments(float(r0p[0]), float(r0p[1]))
-        r0x, r0y = float(r0p[0]), float(r0p[1])
-    else:
-        segs = scenario.program.planar_segments(float(scenario.r0[0]), float(scenario.r0[1]))
-        r0x, r0y = float(scenario.r0[0]), float(scenario.r0[1])
+        basis, r0, v = _engagement_plane(r0, program.vector)
+        program = ConstantVelocity.from_vector(v)
+    r0x, r0y = float(r0[0]), float(r0[1])
+    segs = program.planar_segments(r0x, r0y)
 
     core = _PlanarCore(r0x, r0y, segs, scenario.v_m, scenario.dt, scenario.hit_radius, scenario.t_max)
     rows, termination, intercept = core.run()
@@ -598,8 +602,7 @@ def simulate(scenario: Scenario) -> SimResult:
     tv = arr[:, 9:11]
 
     if basis is not None:
-        lift = basis.T  # (3, 2)
-        g, m, tpos, pv, tv = (v @ lift.T for v in (g, m, tpos, pv, tv))
+        g, m, tpos, pv, tv = (a @ basis for a in (g, m, tpos, pv, tv))
 
     return SimResult(
         scenario=scenario,

@@ -31,11 +31,14 @@ from .errors import (
 from .geodesics import (
     CurveRecord,
     _covariant_rate,
+    _curve_from_states,
+    _geodesic_field,
+    _rk4_step,
     _trapezoid,
     euler_lagrange_residual,
     spray_coefficients,
 )
-from .kinematics import Scenario, ConstantVelocity, _engagement_basis, _resolve_speed, pn_lead_angle
+from .kinematics import Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
 from .metric import ConstantField, NavMetric, NavMetricParams
 from . import numdiff
 
@@ -294,63 +297,38 @@ def _zero_lead_reachable(metric: NavMetric, x0: np.ndarray, eps: float, dt: floa
         rdot = float(x @ k1) / nx
         if nx + dt * rdot < eps:  # the step could jump the sphere: aim at range eps/2
             h = (nx - 0.5 * eps) / (-rdot)
-        k2 = rate(x + 0.5 * h * k1)
-        k3 = rate(x + 0.5 * h * k2)
-        k4 = rate(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(rate, x, h, k1)
         t += h
     return float(np.linalg.norm(x)) <= eps
 
 
-def _rk4_geodesic(metric: NavMetric, x: np.ndarray, y: np.ndarray, h: float):
-    """One RK4 step of ``x'' = -2 G(x, x')``."""
-
-    def accel(xx, yy):
-        return -2.0 * spray_coefficients(metric, xx, yy)
-
-    k1x, k1y = y, accel(x, y)
-    k2x = y + 0.5 * h * k1y
-    k2y = accel(x + 0.5 * h * k1x, k2x)
-    k3x = y + 0.5 * h * k2y
-    k3y = accel(x + 0.5 * h * k2x, k3x)
-    k4x = y + h * k3y
-    k4y = accel(x + h * k3x, k4x)
-    nx = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    ny = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return nx, ny
-
-
+@dataclass(frozen=True)
 class _Shot:
-    """One geodesic shot: nodes until radial turnaround, plus diagnostics."""
+    """One geodesic shot: states ``(x, y)`` until radial turnaround, plus diagnostics."""
 
-    __slots__ = ("times", "xs", "ys", "miss", "closest", "tau_star", "hit")
-
-    def __init__(self, times, xs, ys, miss, closest, tau_star, hit):
-        self.times = times
-        self.xs = xs
-        self.ys = ys
-        self.miss = miss
-        self.closest = closest
-        self.tau_star = tau_star  # closest-approach offset from the second-to-last node
-        self.hit = hit
+    times: list
+    states: list
+    miss: float  # signed perpendicular offset of the closest approach
+    tau_star: float  # closest-approach offset from the second-to-last node
+    hit: bool
 
 
-def _shoot(metric: NavMetric, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
+def _range_after(f, za: np.ndarray, tau: float) -> float:
+    """Range ``|x|`` after an RK4 step of length ``tau`` from the anchor state ``za``."""
+    x = za[0] if tau == 0.0 else _rk4_step(f, za, tau)[0]
+    return float(np.linalg.norm(x))
+
+
+def _shoot(metric: NavMetric, f, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
     u = np.array([math.cos(phi), math.sin(phi)])
     try:
-        y = metric.unit_vector(x0, u)
-    except OutOfDomainError:
-        return None
-
-    x = x0.copy()
-    times, xs, ys = [0.0], [x.copy()], [y.copy()]
-    try:
+        z = np.array((x0, metric.unit_vector(x0, u)))
+        times, states = [0.0], [z]
         for k in range(n_max):
-            x, y = _rk4_geodesic(metric, x, y, step)
+            z = _rk4_step(f, z, step)
             times.append((k + 1) * step)
-            xs.append(x.copy())
-            ys.append(y.copy())
-            if float(x @ y) >= 0.0:  # radially receding: closest approach is bracketed
+            states.append(z)
+            if float(z[0] @ z[1]) >= 0.0:  # radially receding: closest approach is bracketed
                 break
         else:
             return None
@@ -358,29 +336,21 @@ def _shoot(metric: NavMetric, x0: np.ndarray, phi: float, step: float, n_max: in
         return None
 
     # refine the closest approach inside the last step
-    xa, ya = xs[-2], ys[-2]
-
-    def dist(tau: float) -> float:
-        if tau == 0.0:
-            return float(np.linalg.norm(xa))
-        xx, _ = _rk4_geodesic(metric, xa, ya, tau)
-        return float(np.linalg.norm(xx))
-
-    tau_star = float(_golden_max(lambda tau: -dist(float(tau)), 0.0, step, 1e-12 * step)[0])
-    x_star, y_star = _rk4_geodesic(metric, xa, ya, tau_star) if tau_star > 0.0 else (xa.copy(), ya.copy())
-    closest = float(np.linalg.norm(x_star))
+    za = states[-2]
+    tau_star = float(_golden_max(lambda tau: -_range_after(f, za, float(tau)), 0.0, step, 1e-12 * step)[0])
+    x_star, y_star = _rk4_step(f, za, tau_star) if tau_star > 0.0 else za
     vdir = y_star / np.linalg.norm(y_star)
-    miss = float(x_star[0] * vdir[1] - x_star[1] * vdir[0])  # signed perpendicular offset
-    return _Shot(times, xs, ys, miss, closest, tau_star, closest <= eps)
+    miss = float(x_star[0] * vdir[1] - x_star[1] * vdir[0])
+    return _Shot(times, states, miss, tau_star, float(np.linalg.norm(x_star)) <= eps)
 
 
-def _truncate_at_contact(metric: NavMetric, shot: _Shot, eps: float, step: float) -> CurveRecord:
+def _truncate_at_contact(metric: NavMetric, f, shot: _Shot, eps: float, step: float) -> CurveRecord:
     """Cut a hitting shot at the earliest point with ``|x| = hit radius``.
 
     Bisects on the approach flank, where the range is monotone, so the
     terminal node lands on the sphere from outside.
     """
-    norms = [float(np.linalg.norm(x)) for x in shot.xs]
+    norms = [float(np.linalg.norm(z[0])) for z in shot.states]
     j = next((k for k, d in enumerate(norms) if d <= eps), None)
     if j == 0:
         raise InvalidInputError("course starts inside the hit sphere")
@@ -388,33 +358,63 @@ def _truncate_at_contact(metric: NavMetric, shot: _Shot, eps: float, step: float
         # contact lies between the second-to-last node and the refined
         # closest approach; tau_star bounds it from the inside
         j = len(norms) - 1
-        xa, ya, ta = shot.xs[-2], shot.ys[-2], shot.times[-2]
-        lo, hi = 0.0, shot.tau_star
+        hi = shot.tau_star
     else:
-        xa, ya, ta = shot.xs[j - 1], shot.ys[j - 1], shot.times[j - 1]
-        lo, hi = 0.0, shot.times[j] - ta
+        hi = shot.times[j] - shot.times[j - 1]
+    za, ta, lo = shot.states[j - 1], shot.times[j - 1], 0.0
 
-    def radius(tau: float) -> float:
-        if tau == 0.0:
-            return float(np.linalg.norm(xa))
-        xx, _ = _rk4_geodesic(metric, xa, ya, tau)
-        return float(np.linalg.norm(xx))
-
-    if radius(hi) > eps:
+    if _range_after(f, za, hi) > eps:
         raise ConvergenceError("failed to bracket the hit-sphere crossing")
     tol = 1e-12 * step
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if radius(mid) <= eps:
+        if _range_after(f, za, mid) <= eps:
             hi = mid
         else:
             lo = mid
-    x_c, y_c = _rk4_geodesic(metric, xa, ya, hi)
-    times = np.asarray(shot.times[:j] + [ta + hi])
-    xs = np.asarray(shot.xs[:j] + [x_c])
-    ys = np.asarray(shot.ys[:j] + [y_c])
-    F = metric.F_many(xs, ys)
-    return CurveRecord(times, xs, ys, F)
+    states = shot.states[:j] + [_rk4_step(f, za, hi)]
+    return _curve_from_states(metric, np.asarray(shot.times[:j] + [ta + hi]), states)
+
+
+def _hitting_shot(
+    metric: NavMetric, f, x0: np.ndarray, eps: float, step: float, n_max: int,
+    expand_step: float, max_expand: int, max_bisect: int,
+) -> _Shot:
+    """Shoot on the launch angle until a geodesic enters the hit sphere.
+
+    Fans out from the aim at the origin in ``expand_step`` increments,
+    alternating sides, until two shots miss on opposite sides, then
+    bisects that bracket on the signed miss.
+    """
+    phi_aim = math.atan2(-x0[1], -x0[0])
+    fan = [phi_aim] + [phi_aim + sgn * k * expand_step for k in range(1, max_expand + 1) for sgn in (1.0, -1.0)]
+    valid: list[tuple[float, float]] = []  # (phi, signed miss)
+    for phi in fan:
+        s = _shoot(metric, f, x0, phi, step, n_max, eps)
+        if s is None:
+            continue
+        if s.hit:
+            return s
+        partner = next(((phi0, miss0) for phi0, miss0 in valid if miss0 * s.miss < 0.0), None)
+        if partner is not None:  # misses on opposite sides bracket the target
+            break
+        valid.append((phi, s.miss))
+    else:
+        raise ConvergenceError("could not bracket the target with geodesic shots")
+
+    (lo_phi, miss_lo), hi_phi = partner, phi
+    for _ in range(max_bisect):
+        mid = 0.5 * (lo_phi + hi_phi)
+        s = _shoot(metric, f, x0, mid, step, n_max, eps)
+        if s is None:
+            raise ConvergenceError("geodesic shot left the metric domain during bisection")
+        if s.hit:
+            return s
+        if s.miss * miss_lo > 0.0:
+            lo_phi, miss_lo = mid, s.miss
+        else:
+            hi_phi = mid
+    raise ConvergenceError("shooting bisection did not reach the hit sphere")
 
 
 def optimal_trajectory(
@@ -449,9 +449,9 @@ def optimal_trajectory(
     if scenario.dim == 3:
         if not isinstance(field, ConstantField):
             raise InvalidInputError("3-d courses are supported for constant fields only")
-        basis = _engagement_basis(scenario.r0, field.value)
-        x0 = -(basis @ scenario.r0)
-        field = ConstantField(basis @ field.value)
+        basis, r0, v = _engagement_plane(scenario.r0, field.value)
+        x0 = -r0
+        field = ConstantField(v)
     else:
         x0 = -scenario.r0.astype(float)
 
@@ -467,65 +467,13 @@ def optimal_trajectory(
         step = t_hat / 512.0
     n_max = int(math.ceil(horizon_factor * t_hat / step))
 
-    phi_aim = math.atan2(-x0[1], -x0[0])
-
-    class _Hit(Exception):
-        def __init__(self, s):
-            self.shot = s
-
-    def try_shot(phi: float) -> _Shot | None:
-        s = _shoot(metric, x0, phi, step, n_max, eps)
-        if s is not None and s.hit:
-            raise _Hit(s)
-        return s
-
-    try:
-        valid: list[tuple[float, float]] = []  # (phi, signed miss)
-        s0 = try_shot(phi_aim)
-        if s0 is not None:
-            valid.append((phi_aim, s0.miss))
-        bracket = None
-        for k in range(1, max_expand + 1):
-            for sgn in (1.0, -1.0):
-                phi = phi_aim + sgn * k * expand_step
-                s = try_shot(phi)
-                if s is None:
-                    continue
-                for phi0, miss0 in valid:
-                    if miss0 * s.miss < 0.0:
-                        bracket = ((phi0, miss0), (phi, s.miss))
-                        break
-                valid.append((phi, s.miss))
-                if bracket is not None:
-                    break
-            if bracket is not None:
-                break
-        if bracket is None:
-            raise ConvergenceError("could not bracket the target with geodesic shots")
-
-        (lo_phi, miss_lo), (hi_phi, _) = bracket
-        for _ in range(max_bisect):
-            mid = 0.5 * (lo_phi + hi_phi)
-            s = try_shot(mid)
-            if s is None:
-                raise ConvergenceError("geodesic shot left the metric domain during bisection")
-            if s.miss * miss_lo > 0.0:
-                lo_phi, miss_lo = mid, s.miss
-            else:
-                hi_phi = mid
-        raise ConvergenceError("shooting bisection did not reach the hit sphere")
-    except _Hit as hit:
-        curve = _truncate_at_contact(metric, hit.shot, eps, step)
-        return _lift_curve(curve, basis, metric)
-
-
-def _lift_curve(curve: CurveRecord, basis, metric) -> CurveRecord:
+    # the spray is this module's name, so wrappers on parnav.optimal (perfbench's tracer) see every call
+    f = _geodesic_field(metric, spray_coefficients)
+    shot = _hitting_shot(metric, f, x0, eps, step, n_max, expand_step, max_expand, max_bisect)
+    curve = _truncate_at_contact(metric, f, shot, eps, step)
     if basis is None:
         return curve
-    lift = basis.T  # (3, 2)
-    return CurveRecord(
-        curve.times, curve.positions @ lift.T, curve.velocities @ lift.T, curve.F_values
-    )
+    return CurveRecord(curve.times, curve.positions @ basis, curve.velocities @ basis, curve.F_values)
 
 
 # ---------------------------------------------------------------------------

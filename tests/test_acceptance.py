@@ -25,6 +25,7 @@ from parnav import (
     NavMetric,
     NavMetricParams,
     Scenario,
+    action_integral,
     berwald_coefficients,
     collinearity_defect,
     curve_from_arrays,
@@ -292,9 +293,7 @@ def _competitor_excess(metric, curve, n_competitors=50, seed=0):
             curve.positions + amp * bump[:, None] * direction[None, :],
             curve.velocities + amp * dbump[:, None] * direction[None, :],
         )
-        trapz = getattr(np, "trapezoid", None) or np.trapz
-        travel_time = float(trapz(competitor.F_values, t))
-        worst = min(worst, travel_time - T)
+        worst = min(worst, action_integral(metric, competitor) - T)
     return worst
 
 

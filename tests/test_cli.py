@@ -162,6 +162,27 @@ def test_missing_file_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["scenario-is-directory", "scenario-not-utf8", "out-is-directory"])
+def test_unreadable_or_unwritable_file_exit_code(tmp_path, case):
+    scenario = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "x.csv"
+    if case == "scenario-is-directory":
+        scenario = tmp_path / "dir.json"
+        scenario.mkdir()
+    elif case == "scenario-not-utf8":
+        scenario.write_bytes(b"\xff\xfe" + scenario.read_bytes())
+    else:
+        out.mkdir()
+    proc = subprocess.run(
+        [sys.executable, "-m", "parnav.cli", "simulate", str(scenario), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 # --- optimal / pmp-check ---------------------------------------------------------
 
 

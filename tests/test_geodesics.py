@@ -27,6 +27,7 @@ from parnav import (
     spray_coefficients,
     strong_convexity_margin,
 )
+from parnav.geodesics import _rk4_step
 
 
 def _fd_spray(metric, x, y):
@@ -207,10 +208,30 @@ def test_integrate_geodesic_conserves_f(shear_metric, shear_start):
     assert float(np.max(np.abs(curve.F_values - 1.0))) < 1e-7
 
 
-def test_integrate_geodesic_step_must_divide_horizon(shear_metric, shear_start):
+@pytest.mark.parametrize(
+    "horizon, step",
+    [(1.0, 0.3), (math.nan, 1e-2), (1.0, math.nan), (math.inf, 1e-2), (1.0, math.inf)],
+)
+def test_integrate_geodesic_rejects_bad_horizon_or_step(shear_metric, shear_start, horizon, step):
+    # 0.3 does not divide 1.0; NaN and infinite values are not positive finite numbers
     x0, y0 = shear_start
     with pytest.raises(InvalidInputError):
-        integrate_geodesic(shear_metric, x0, y0, horizon=1.0, step=0.3)
+        integrate_geodesic(shear_metric, x0, y0, horizon=horizon, step=step)
+
+
+def test_rk4_step_is_the_fourth_order_taylor_step_on_linear_systems():
+    A = np.array([[0.0, 1.0, 0.0], [-2.0, -0.3, 0.5], [0.1, 0.0, -1.0]])
+    z = np.array([0.7, -1.2, 0.4])
+    h = 0.25
+
+    def f(zz):
+        return A @ zz
+
+    hA = h * A
+    taylor = z + hA @ z + hA @ hA @ z / 2.0 + hA @ hA @ hA @ z / 6.0 + hA @ hA @ hA @ hA @ z / 24.0
+    got = _rk4_step(f, z, h)
+    np.testing.assert_allclose(got, taylor, rtol=0.0, atol=1e-15)
+    assert np.array_equal(_rk4_step(f, z, h, k1=f(z)), got)
 
 
 def test_integrate_geodesic_short_horizon(shear_metric, shear_start):
