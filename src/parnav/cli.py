@@ -7,7 +7,8 @@ run), ``optimal`` (time-optimal course by geodesic shooting),
 All outputs are deterministic: floats are serialized with ``repr`` (the
 shortest round-trip form), JSON keys are sorted, and no timestamps or
 absolute paths are embedded.  Every run also writes a small record JSON
-with a digest of the canonicalized scenario for provenance.
+with a digest of the canonicalized scenario for provenance; the table and
+the record are put in place together or not at all.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible control, 4 unreachable
 target, 5 numerical failure.
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +55,9 @@ EXIT_UNREACHABLE = 4
 EXIT_NUMERICAL = 5
 
 SCHEMA_VERSION = 1
+
+# largest t_max/dt a scenario may ask the simulator to step through
+_MAX_STEPS = 1e7
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +195,14 @@ def parse_scenario_text(text: str):
     if "t_max" in sc:
         kw["t_max"] = _number(sc["t_max"], "$.scenario.t_max", positive=True)
     scenario = Scenario(r0=r0, program=program, v_m=v_m, **kw)
+    steps = scenario.t_max / scenario.dt
+    if steps > _MAX_STEPS:
+        raise _err("$.scenario.dt", f"t_max/dt = {steps:.3g} exceeds the step budget of {_MAX_STEPS:.3g}")
 
-    metric_cfg = {"delta": 0.0, "field": None}
+    metric_cfg = {"field": None}
     if "metric" in doc:
         m = doc["metric"]
-        _check_keys(m, "$.metric", (), ("delta_deg", "field"))
-        if "delta_deg" in m:
-            metric_cfg["delta"] = math.radians(_number(m["delta_deg"], "$.metric.delta_deg"))
+        _check_keys(m, "$.metric", (), ("field",))
         if "field" in m:
             metric_cfg["field"] = _parse_field(m["field"], "$.metric.field", scenario.dim)
 
@@ -273,21 +279,36 @@ def curve_table(curve) -> tuple[list[str], list[list[float]]]:
     return header, rows
 
 
-def _digest(canonical: str) -> str:
-    return hashlib.sha256(canonical.encode()).hexdigest()
+def _write_outputs(args, mode: str, canonical: str, summary: dict, write_table) -> None:
+    """Write the table (``write_table(path)``) and the run record, both or neither.
 
-
-def _write_record(args, mode: str, canonical: str, summary: dict) -> None:
+    Each is written to a temporary name beside its target; the targets
+    are replaced only once both writes have succeeded, and a record whose
+    table cannot be put in place is taken back.
+    """
+    out = Path(args.out)
+    rec = Path(args.record) if args.record else Path(str(args.out) + ".record.json")
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "parnav", "version": __version__},
         "mode": mode,
-        "scenario_digest": _digest(canonical),
-        "table": Path(args.out).name,
+        "scenario_digest": hashlib.sha256(canonical.encode()).hexdigest(),
+        "table": out.name,
         "summary": summary,
     }
-    path = Path(args.record) if args.record else Path(str(args.out) + ".record.json")
-    write_json(path, record)
+    tmp_out, tmp_rec = (p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in (out, rec))
+    try:
+        write_table(tmp_out)
+        write_json(tmp_rec, record)
+        os.replace(tmp_rec, rec)
+        try:
+            os.replace(tmp_out, out)
+        except OSError:
+            rec.unlink()
+            raise
+    finally:
+        tmp_out.unlink(missing_ok=True)
+        tmp_rec.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +330,6 @@ def _cmd_simulate(args) -> int:
     if args.unit_speed:
         result = reparametrize_unit_F(result)
     header, rows = sim_table(result)
-    write_csv(Path(args.out), header, rows)
     defect = collinearity_defect(result)
     finite = defect[np.isfinite(defect)]
     summary = {
@@ -320,7 +340,7 @@ def _cmd_simulate(args) -> int:
         "final_range": float(np.linalg.norm(result.r[-1])),
         "max_collinearity_defect": float(np.max(finite)) if finite.size else None,
     }
-    _write_record(args, "simulate", canonical, summary)
+    _write_outputs(args, "simulate", canonical, summary, lambda path: write_csv(path, header, rows))
     if not args.quiet:
         print(f"simulate: {result.termination} at t_f={_fstr(result.t_f)} ({result.n_nodes} nodes)")
     if result.termination == "infeasible-control":
@@ -334,14 +354,13 @@ def _cmd_optimal(args) -> int:
     scenario, metric_cfg, canonical = _load(args)
     curve = optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
     header, rows = curve_table(curve)
-    write_csv(Path(args.out), header, rows)
     summary = {
         "t_f": float(curve.times[-1]),
         "n_nodes": curve.n_nodes,
         "final_range": float(np.linalg.norm(curve.positions[-1])),
         "max_unit_defect": float(np.max(np.abs(curve.F_values - 1.0))),
     }
-    _write_record(args, "optimal", canonical, summary)
+    _write_outputs(args, "optimal", canonical, summary, lambda path: write_csv(path, header, rows))
     if not args.quiet:
         print(f"optimal: reached hit sphere at t_f={_fstr(curve.times[-1])} ({curve.n_nodes} nodes)")
     return EXIT_OK
@@ -353,7 +372,7 @@ def _cmd_pmp_check(args) -> int:
     field = metric_cfg["field"]
     if field is None:
         field = ConstantField(scenario.program.vector)
-    metric = NavMetric(NavMetricParams(scenario.v_m, metric_cfg["delta"]), field)
+    metric = NavMetric(NavMetricParams(scenario.v_m), field)
     report = pmp_check(metric, curve)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -361,8 +380,7 @@ def _cmd_pmp_check(args) -> int:
         "t_f": float(curve.times[-1]),
         "n_nodes": curve.n_nodes,
     }
-    write_json(Path(args.out), doc)
-    _write_record(args, "pmp-check", canonical, report.summary())
+    _write_outputs(args, "pmp-check", canonical, report.summary(), lambda path: write_json(path, doc))
     if not args.quiet:
         print(f"pmp-check: passed={report.passed} max_adjoint={report.max_adjoint_residual:.3e}")
     return EXIT_OK
@@ -430,9 +448,9 @@ def _cmd_sweep(args) -> int:
                 lines.append(",".join(cell + [_fstr(sol.delta), _fstr(t_closed), _fstr(result.t_f), _fstr(rel), result.termination]))
             else:
                 lines.append(",".join(cell + [_fstr(sol.delta), "nan", _fstr(result.t_f), "nan", result.termination]))
-    Path(args.out).write_text("\n".join(lines) + "\n")
     summary = {"cells": len(ks) * len(thetas), "hits": hits, "worst_rel_err": worst}
-    _write_record(args, "sweep", canonical, summary)
+    text = "\n".join(lines) + "\n"
+    _write_outputs(args, "sweep", canonical, summary, lambda path: path.write_text(text))
     if not args.quiet:
         print(f"sweep: {hits}/{len(ks) * len(thetas)} interceptions, worst rel err {worst:.3e}")
     return EXIT_OK

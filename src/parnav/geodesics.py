@@ -9,10 +9,10 @@ them in closed form.  Their second y-derivatives, the Berwald connection
 Euler-Lagrange residual are finite differences (:mod:`parnav.numdiff`).
 
 Every numpy RK4 integration in the package takes its steps with
-:func:`_rk4_step`: geodesics step the state ``z = (x, y)`` through the
-first-order field of :func:`_geodesic_field`, and the shooter's
-line-of-sight pre-pass steps ``x' = rate(x)``.  The scalar simulator core
-in :mod:`parnav.kinematics` keeps its own float-only stages.
+:func:`_rk4_step`: geodesics, shot or integrated over a horizon, step the
+state ``z = (x, y)`` through the first-order field of
+:func:`_geodesic_field`.  The scalar simulator core in
+:mod:`parnav.kinematics` keeps its own float-only stages.
 """
 
 from __future__ import annotations
@@ -149,10 +149,9 @@ def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) ->
     return out
 
 
-def _rk4_step(f, z, h: float, k1=None) -> np.ndarray:
-    """One classical RK4 step of ``z' = f(z)``; ``k1`` is ``f(z)`` if the caller has it."""
-    if k1 is None:
-        k1 = f(z)
+def _rk4_step(f, z, h: float) -> np.ndarray:
+    """One classical RK4 step of ``z' = f(z)``."""
+    k1 = f(z)
     k2 = f(z + 0.5 * h * k1)
     k3 = f(z + 0.5 * h * k2)
     k4 = f(z + h * k3)

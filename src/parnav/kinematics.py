@@ -43,8 +43,6 @@ __all__ = [
     "collinearity_defect",
 ]
 
-TERMINATIONS = ("intercept", "timeout", "infeasible-control", "domain-exit")
-
 
 # ---------------------------------------------------------------------------
 # Target programs

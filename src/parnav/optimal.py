@@ -59,6 +59,12 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# shooting: horizon in chord lengths, fan increment and size, bisection cap
+_HORIZON_FACTOR = 3.0
+_FAN_STEP = 0.05
+_FAN_SIZE = 40
+_MAX_BISECT = 80
+
 
 @dataclass(frozen=True)
 class PMPState:
@@ -188,60 +194,47 @@ class OptimalityReport:
         }
 
 
-def pmp_check(
-    metric: NavMetric,
-    curve: CurveRecord,
-    deltas=None,
-    *,
-    tol_unit: float = 1e-6,
-    tol_hamiltonian: float = 1e-4,
-    tol_gap: float = 1e-6,
-    tol_adjoint: float = 1e-4,
-    tol_el: float = 1e-4,
-    grid_size: int = 181,
-) -> OptimalityReport:
-    """Run the full optimality certificate on a unit-F course.
+def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
+    """Run the full optimality certificate on a unit-F course, at zero lead.
 
-    The course must be unit-F parametrized to ``tol_unit`` (anything
-    else is a usage error, not a failed certificate).  Costates are the
-    canonical momenta ``p = d(F^2/2)/dv`` of the course's own control;
-    the adjoint residual compares their time derivative against the
-    position gradient of the maximized Hamiltonian (central differences
-    with step ``h = 1e-5 (1 + |x|)``, re-maximizing at each perturbed
-    position); the Euler-Lagrange residual uses ``L = F^2``.
+    Everything is evaluated with ``metric``'s field at zero lead angle,
+    whatever its own ``delta``.  The course must be unit-F parametrized
+    to 1e-6 (anything else is a usage error, not a failed certificate).
+    Costates are the canonical momenta ``p = d(F^2/2)/dv`` of the
+    course's own velocity; the adjoint residual compares their time
+    derivative against the position gradient of the maximized
+    Hamiltonian (central differences with step ``h = 1e-5 (1 + |x|)``,
+    re-maximizing at each perturbed position); the Euler-Lagrange
+    residual uses ``L = F^2``.  The course passes when ``|H|``, the
+    adjoint and Euler-Lagrange residuals are at most 1e-4 and the
+    control gap at most 1e-6.
 
     Every maximization follows :func:`maximized_hamiltonian` (interior
-    grid of ``grid_size`` lead angles, golden refinement to 1e-8, a grid
-    point that beats the refinement wins), run as one batch over all
-    nodes and their ``2n`` stencil points ``x +- h e_k``.
+    grid of 181 lead angles, golden refinement to 1e-8, a grid point
+    that beats the refinement wins), run as one batch over all nodes and
+    their ``2n`` stencil points ``x +- h e_k``.
     """
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
-    if not np.isfinite(unit_defect) or unit_defect > tol_unit:
+    if not np.isfinite(unit_defect) or unit_defect > 1e-6:
         raise InvalidInputError(
             f"course is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})"
         )
-    N = curve.n_nodes
-    if deltas is None:
-        deltas = np.zeros(N)
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape != (N,):
-        raise InvalidInputError("deltas must match the curve grid")
-
-    X, V, n = curve.positions, curve.velocities, curve.dim
+    metric = metric.with_delta(0.0)
+    X, V, n, N = curve.positions, curve.velocities, curve.dim, curve.n_nodes
     # costates: central differences in v with numdiff.y_gradient's step
     hv = (numdiff.H_REL_Y * np.sqrt(_row_dots(V, V)))[:, None, None] * np.eye(n)
     Ys = np.concatenate([V[:, None, :] + hv, V[:, None, :] - hv], axis=1)
-    E = metric.F_many(np.repeat(X, 2 * n, axis=0), Ys.reshape(-1, n), np.repeat(deltas, 2 * n)) ** 2
+    E = metric.F_many(np.repeat(X, 2 * n, axis=0), Ys.reshape(-1, n)) ** 2
     E = E.reshape(N, 2, n)
     P = 0.5 * ((E[:, 0] - E[:, 1]) / (2.0 * hv.diagonal(axis1=1, axis2=2)))
-    h_at = _row_dots(P, V) - metric.F_many(X, V, deltas)
+    h_at = _row_dots(P, V) - metric.F_many(X, V)
 
     # one scan over every node x and its stencil points x +- h e_k
     hx = 1e-5 * (1.0 + np.sqrt(_row_dots(X, X)))
     shifts = hx[None, :, None] * np.eye(n)[:, None, :]  # (n, N, n)
     rows = np.concatenate([X[None], X[None] + shifts, X[None] - shifts]).reshape(-1, n)
     reps = (2 * n + 1, 1)
-    H, dstars = _maximized_hamiltonians(metric, rows, np.tile(P, reps), np.tile(V, reps), grid_size)
+    H, dstars = _maximized_hamiltonians(metric, rows, np.tile(P, reps), np.tile(V, reps))
     H = H.reshape(2 * n + 1, N)
     hams, dstars = H[0], dstars[:N]
     gaps = hams - h_at
@@ -249,9 +242,9 @@ def pmp_check(
     dPdt = np.gradient(P, curve.times, axis=0, edge_order=2)
     adj = np.linalg.norm(dPdt + grad, axis=1)
 
-    el = euler_lagrange_residual(metric.with_delta(float(deltas[0])), curve, energy_scale=1.0)
+    el = euler_lagrange_residual(metric, curve, energy_scale=1.0)
 
-    report = OptimalityReport(
+    return OptimalityReport(
         max_unit_defect=unit_defect,
         max_hamiltonian=float(np.max(np.abs(hams))),
         max_control_gap=float(np.max(np.abs(gaps))),
@@ -259,10 +252,10 @@ def pmp_check(
         max_el_residual=float(np.max(el)),
         max_abs_delta_star=float(np.max(np.abs(dstars))),
         passed=bool(
-            np.max(np.abs(hams)) <= tol_hamiltonian
-            and np.max(np.abs(gaps)) <= tol_gap
-            and np.max(adj) <= tol_adjoint
-            and np.max(el) <= tol_el
+            np.max(np.abs(hams)) <= 1e-4
+            and np.max(np.abs(gaps)) <= 1e-6
+            and np.max(adj) <= 1e-4
+            and np.max(el) <= 1e-4
         ),
         hamiltonians=hams,
         control_gaps=gaps,
@@ -270,36 +263,11 @@ def pmp_check(
         el_residuals=el,
         delta_stars=dstars,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Time-optimal course by shooting
 # ---------------------------------------------------------------------------
-
-
-def _zero_lead_reachable(metric: NavMetric, x0: np.ndarray, eps: float, dt: float, t_max: float) -> bool:
-    """Integrate the pure line-of-sight chase; True if it enters the hit sphere."""
-    x = x0.copy()
-    v_m = metric.params.v_m
-
-    def rate(xx: np.ndarray) -> np.ndarray:
-        nx = np.linalg.norm(xx)
-        return -v_m * xx / nx - metric.field(xx)
-
-    t = 0.0
-    while t < t_max:
-        nx = float(np.linalg.norm(x))
-        if nx <= eps:
-            return True
-        k1 = rate(x)
-        h = dt
-        rdot = float(x @ k1) / nx
-        if nx + dt * rdot < eps:  # the step could jump the sphere: aim at range eps/2
-            h = (nx - 0.5 * eps) / (-rdot)
-        x = _rk4_step(rate, x, h, k1)
-        t += h
-    return float(np.linalg.norm(x)) <= eps
 
 
 @dataclass(frozen=True)
@@ -376,18 +344,15 @@ def _truncate_at_contact(metric: NavMetric, f, shot: _Shot, eps: float, step: fl
     return _curve_from_states(metric, np.asarray(shot.times[:j] + [ta + hi]), states)
 
 
-def _hitting_shot(
-    metric: NavMetric, f, x0: np.ndarray, eps: float, step: float, n_max: int,
-    expand_step: float, max_expand: int, max_bisect: int,
-) -> _Shot:
+def _hitting_shot(metric: NavMetric, f, x0: np.ndarray, eps: float, step: float, n_max: int) -> _Shot:
     """Shoot on the launch angle until a geodesic enters the hit sphere.
 
-    Fans out from the aim at the origin in ``expand_step`` increments,
+    Fans out from the aim at the origin in ``_FAN_STEP`` increments,
     alternating sides, until two shots miss on opposite sides, then
     bisects that bracket on the signed miss.
     """
     phi_aim = math.atan2(-x0[1], -x0[0])
-    fan = [phi_aim] + [phi_aim + sgn * k * expand_step for k in range(1, max_expand + 1) for sgn in (1.0, -1.0)]
+    fan = [phi_aim] + [phi_aim + sgn * k * _FAN_STEP for k in range(1, _FAN_SIZE + 1) for sgn in (1.0, -1.0)]
     valid: list[tuple[float, float]] = []  # (phi, signed miss)
     for phi in fan:
         s = _shoot(metric, f, x0, phi, step, n_max, eps)
@@ -403,7 +368,7 @@ def _hitting_shot(
         raise ConvergenceError("could not bracket the target with geodesic shots")
 
     (lo_phi, miss_lo), hi_phi = partner, phi
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo_phi + hi_phi)
         s = _shoot(metric, f, x0, mid, step, n_max, eps)
         if s is None:
@@ -417,26 +382,18 @@ def _hitting_shot(
     raise ConvergenceError("shooting bisection did not reach the hit sphere")
 
 
-def optimal_trajectory(
-    scenario: Scenario,
-    field=None,
-    *,
-    step: float | None = None,
-    horizon_factor: float = 3.0,
-    expand_step: float = 0.05,
-    max_expand: int = 40,
-    max_bisect: int = 80,
-) -> CurveRecord:
+def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = None) -> CurveRecord:
     """Time-optimal course from ``-r0`` to the hit sphere at zero lead angle.
 
     The course is a geodesic of the zero-lead navigation metric, found by
     shooting on the launch angle; the returned record is parametrized by
-    time (equivalently, by metric length).  A pure line-of-sight chase is
-    integrated first: if it cannot reach the target within ``t_max``,
-    :class:`UnreachableError` is raised rather than shooting blind.
-    ``field`` overrides the target velocity field (defaults to the
-    scenario's constant program); non-constant programs require an
-    explicit field.  ``step`` must be positive and finite.
+    time (equivalently, by metric length).  :class:`UnreachableError` is
+    raised when that course cannot reach the target: in a constant field,
+    whose only geodesic to the origin is the straight chord, when the
+    chord does not close; in any field, when the hitting geodesic arrives
+    after ``t_max``.  ``field`` overrides the target velocity field
+    (defaults to the scenario's constant program); non-constant programs
+    require an explicit field.  ``step`` must be positive and finite.
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -458,19 +415,23 @@ def optimal_trajectory(
     metric = NavMetric(NavMetricParams(scenario.v_m, 0.0), field)
     eps = scenario.hit_radius
 
-    if not _zero_lead_reachable(metric, x0, eps, scenario.dt, scenario.t_max):
-        raise UnreachableError("line-of-sight chase does not reach the target within t_max")
+    if isinstance(field, ConstantField) and not metric.value(x0, -x0).in_domain:
+        raise UnreachableError("the straight zero-lead course does not close on the target")
 
     # time scale: metric length of the straight chord to the origin
     t_hat = metric.F(x0, -x0)
     if step is None:
         step = t_hat / 512.0
-    n_max = int(math.ceil(horizon_factor * t_hat / step))
+    n_max = int(math.ceil(_HORIZON_FACTOR * t_hat / step))
 
     # the spray is this module's name, so wrappers on parnav.optimal (perfbench's tracer) see every call
     f = _geodesic_field(metric, spray_coefficients)
-    shot = _hitting_shot(metric, f, x0, eps, step, n_max, expand_step, max_expand, max_bisect)
+    shot = _hitting_shot(metric, f, x0, eps, step, n_max)
     curve = _truncate_at_contact(metric, f, shot, eps, step)
+    if curve.times[-1] > scenario.t_max:
+        raise UnreachableError(
+            f"the zero-lead course reaches the target at t={curve.times[-1]:.6g}, after t_max={scenario.t_max:.6g}"
+        )
     if basis is None:
         return curve
     return CurveRecord(curve.times, curve.positions @ basis, curve.velocities @ basis, curve.F_values)

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import subprocess
 import sys
 
@@ -39,7 +38,7 @@ def test_parse_scenario_roundtrip(tmp_path):
     scenario, metric_cfg, canonical = cli.parse_scenario_text(json.dumps(doc))
     assert scenario.v_m == pytest.approx(200.0)
     assert scenario.speed_ratio == pytest.approx(2.0)
-    assert metric_cfg["delta"] == 0.0 and metric_cfg["field"] is None
+    assert metric_cfg["field"] is None
     # canonical form is key-sorted and whitespace-free: insertion order is gone
     assert canonical == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -48,6 +47,10 @@ def test_parse_rejects_unknown_key():
     doc = scenario_doc()
     doc["scenario"]["speed_of_light"] = 3e8
     with pytest.raises(InvalidInputError, match=r"\$\.scenario.*unknown key"):
+        cli.parse_scenario_text(json.dumps(doc))
+    # the certificate runs at zero lead, so a metric lead angle is not an input
+    doc = scenario_doc(metric={"delta_deg": 5.0})
+    with pytest.raises(InvalidInputError, match=r"\$\.metric\.delta_deg: unknown key"):
         cli.parse_scenario_text(json.dumps(doc))
 
 
@@ -78,14 +81,22 @@ def test_parse_piecewise_and_field():
             "pursuer_speed": 150.0,
         },
         "metric": {
-            "delta_deg": 5.0,
             "field": {"type": "linear", "base": [0.1, 0.0], "gradient": [[0.0, 0.45], [0.0, 0.0]]},
         },
     }
     scenario, metric_cfg, _ = cli.parse_scenario_text(json.dumps(doc))
     assert len(scenario.program.legs) == 2
-    assert metric_cfg["delta"] == pytest.approx(math.radians(5.0))
     assert metric_cfg["field"] is not None
+
+
+def test_parse_rejects_a_step_budget_over_1e7():
+    doc = scenario_doc()
+    doc["scenario"].update(dt=1e-9, t_max=60.0)
+    with pytest.raises(InvalidInputError, match=r"\$\.scenario\.dt: .*step budget"):
+        cli.parse_scenario_text(json.dumps(doc))
+    doc["scenario"].update(dt=1e-5, t_max=100.0)  # exactly 1e7 steps
+    scenario, _, _ = cli.parse_scenario_text(json.dumps(doc))
+    assert scenario.t_max / scenario.dt == 1e7
 
 
 def test_parse_bad_leg_duration():
@@ -181,6 +192,36 @@ def test_unreadable_or_unwritable_file_exit_code(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("simulate", []),
+        ("optimal", []),
+        ("pmp-check", ["--step", "0.05"]),
+        ("sweep", ["--grid", "K=2;theta0_deg=0"]),
+    ],
+)
+def test_unwritable_record_leaves_no_table(tmp_path, capsys, mode, extra):
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "table.out"
+    record = tmp_path / "record-dir"
+    record.mkdir()
+    code = cli.main([mode, str(path), "--out", str(out), "--record", str(record), "--quiet", *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["record-dir", "scenario.json"]
+    assert not any(record.iterdir())
+
+
+def test_unwritable_table_leaves_no_record(tmp_path):
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "table-dir"
+    out.mkdir()
+    assert cli.main(["simulate", str(path), "--out", str(out), "--quiet"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "table-dir"]
+    assert not any(out.iterdir())
 
 
 # --- optimal / pmp-check ---------------------------------------------------------

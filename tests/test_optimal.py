@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parnav import (
@@ -249,7 +249,7 @@ def test_optimal_trajectory_straight_case(example_scenario, example_metric):
 
 @pytest.mark.parametrize("hit_radius", [1e-3, 1e-2])
 def test_optimal_trajectory_small_hit_sphere(hit_radius):
-    """The line-of-sight pre-pass must not step over a sphere smaller than one step."""
+    """The contact search must not step over a sphere smaller than one step."""
     sc = Scenario.nonmaneuvering(1000.0, 100.0, THETA0, ratio=2.0, hit_radius=hit_radius)
     assert simulate(sc).termination == "intercept"
     curve = optimal_trajectory(sc)
@@ -286,6 +286,47 @@ def test_optimal_trajectory_unreachable():
     sc = Scenario.nonmaneuvering(1000.0, 100.0, 0.0, ratio=0.8, t_max=10.0)
     with pytest.raises(UnreachableError):
         optimal_trajectory(sc)
+
+
+def test_optimal_trajectory_arrives_before_the_line_of_sight_chase():
+    # pure pursuit needs about 8.33 here (Bouguer), the zero-lead geodesic 999.5/150
+    sc = Scenario.nonmaneuvering(1000.0, 100.0, THETA0, ratio=2.0, t_max=8.0)
+    curve = optimal_trajectory(sc)
+    assert curve.times[-1] == pytest.approx((1000.0 - 0.5) / 150.0, rel=1e-9)
+    with pytest.raises(UnreachableError):
+        optimal_trajectory(sc.with_(t_max=6.0))
+
+
+def test_optimal_trajectory_slower_pursuer_on_a_closing_chord():
+    # K = 0.8 never catches by pure pursuit, but the chord closes at 80 + 100/2 = 130
+    sc = Scenario.nonmaneuvering(1000.0, 100.0, math.radians(120.0), ratio=0.8)
+    curve = optimal_trajectory(sc)
+    assert curve.times[-1] == pytest.approx((1000.0 - 0.5) / 130.0, rel=1e-9)
+
+
+@settings(max_examples=50)
+@given(
+    r=st.floats(10.0, 2000.0),
+    bearing=st.floats(-math.pi, math.pi),
+    v_t=st.floats(0.0, 300.0),
+    heading=st.floats(-math.pi, math.pi),
+    v_m=st.floats(50.0, 400.0),
+    hit=st.floats(1e-3, 1.0),
+    t_max=st.floats(0.1, 60.0),
+)
+def test_constant_field_course_is_the_chord_or_unreachable(r, bearing, v_t, heading, v_m, hit, t_max):
+    r0 = r * np.array([math.cos(bearing), math.sin(bearing)])
+    v = v_t * np.array([math.cos(heading), math.sin(heading)])
+    sc = Scenario(r0=r0, program=ConstantVelocity.from_vector(v), v_m=v_m, hit_radius=hit, t_max=t_max)
+    # the straight chord x0 = -r0 -> origin closes at the rate v_m - <r0/r, v_T>
+    den = v_m * r - float(r0 @ v)
+    t_chord = r * (r - hit) / den if den > 0.0 else math.inf
+    assume(abs(t_chord - t_max) > 1e-9 * t_max)
+    if t_chord <= t_max:
+        assert optimal_trajectory(sc).times[-1] == pytest.approx(t_chord, rel=1e-9)
+    else:
+        with pytest.raises(UnreachableError):
+            optimal_trajectory(sc)
 
 
 def test_optimal_trajectory_needs_field_for_maneuvers():
