@@ -17,6 +17,7 @@ sampling check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,11 +60,11 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# shooting: horizon in chord lengths, fan increment and size, bisection cap
+# shooting: horizon in chord lengths; launch-angle increment of the fan that
+# replaces a shot which left the metric domain; cap on the shots per course
 _HORIZON_FACTOR = 3.0
 _FAN_STEP = 0.05
-_FAN_SIZE = 40
-_MAX_BISECT = 80
+_MAX_SHOTS = 80
 
 
 @dataclass(frozen=True)
@@ -344,42 +345,77 @@ def _truncate_at_contact(metric: NavMetric, f, shot: _Shot, eps: float, step: fl
     return _curve_from_states(metric, np.asarray(shot.times[:j] + [ta + hi]), states)
 
 
+def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: float) -> float:
+    """Launch angle where the measured misses put the root of the signed miss.
+
+    ``misses`` holds ``(phi, signed miss)`` in firing order.  A single
+    miss gives the straight-line Newton guess: a straight course launched
+    at ``phi`` misses by ``-r0 sin(phi - phi_aim)``, so in a zero-gradient
+    field the guess is exact.  Misses all on one side give a secant step
+    through the newest two.  Once the newest miss has partners on the
+    other side, regula falsi runs against the nearest of them in angle,
+    whose miss is halved for every further shot in a row on the newest
+    one's side (the Illinois rule, Dowell & Jarratt, BIT 11, 1971).
+    Returns NaN when two misses are equal and give no step.
+    """
+    phi_b, m_b = misses[-1]
+    if len(misses) == 1:
+        s = math.sin(phi_b - phi_aim) + m_b / r0
+        return phi_aim + math.asin(min(1.0, max(-1.0, s)))
+    far = [(phi, m) for phi, m in misses if m * m_b < 0.0]
+    if far:
+        phi_a, m_a = min(far, key=lambda shot: abs(shot[0] - phi_b))
+        run = next(k for k, (_, m) in enumerate(reversed(misses)) if m * m_b < 0.0)
+        m_a *= 0.5 ** (run - 1)
+    else:
+        phi_a, m_a = misses[-2]
+    if m_a == m_b:
+        return math.nan
+    return phi_b - m_b * (phi_b - phi_a) / (m_b - m_a)
+
+
 def _hitting_shot(metric: NavMetric, f, x0: np.ndarray, eps: float, step: float, n_max: int) -> _Shot:
     """Shoot on the launch angle until a geodesic enters the hit sphere.
 
-    Fans out from the aim at the origin in ``_FAN_STEP`` increments,
-    alternating sides, until two shots miss on opposite sides, then
-    bisects that bracket on the signed miss.
+    The first shot aims at the origin; each later angle comes from the
+    misses measured so far (:func:`_next_launch_angle`: Newton guess,
+    then secant, then Illinois regula falsi once the target is
+    bracketed).  No angle is fired twice.  When a shot leaves the metric
+    domain, or the proposed angle was fired already or lies a right
+    angle or more off the aim (such a course recedes from its start),
+    the next unused angle of the fan ``phi_aim +- k _FAN_STEP`` is shot
+    instead.  After ``_MAX_SHOTS`` shots it raises
+    :class:`ConvergenceError` naming the best miss and its angle.
     """
     phi_aim = math.atan2(-x0[1], -x0[0])
-    fan = [phi_aim] + [phi_aim + sgn * k * _FAN_STEP for k in range(1, _FAN_SIZE + 1) for sgn in (1.0, -1.0)]
-    valid: list[tuple[float, float]] = []  # (phi, signed miss)
-    for phi in fan:
+    r0 = float(np.linalg.norm(x0))
+    fan = (phi_aim + sgn * k * _FAN_STEP for k in itertools.count(1) for sgn in (1.0, -1.0))
+    fired: set[float] = set()
+    misses: list[tuple[float, float]] = []  # (phi, signed miss) of the shots that stayed in the domain
+    phi = phi_aim
+    for _ in range(_MAX_SHOTS):
+        fired.add(phi)
         s = _shoot(metric, f, x0, phi, step, n_max, eps)
-        if s is None:
-            continue
-        if s.hit:
-            return s
-        partner = next(((phi0, miss0) for phi0, miss0 in valid if miss0 * s.miss < 0.0), None)
-        if partner is not None:  # misses on opposite sides bracket the target
-            break
-        valid.append((phi, s.miss))
-    else:
-        raise ConvergenceError("could not bracket the target with geodesic shots")
+        if s is not None:
+            if s.hit:
+                return s
+            misses.append((phi, s.miss))
+            phi = _next_launch_angle(misses, phi_aim, r0)
+        if phi in fired or not abs(phi - phi_aim) < 0.5 * math.pi:
+            phi = next(p for p in fan if p not in fired)
+    if not misses:
+        raise ConvergenceError(f"all {_MAX_SHOTS} geodesic shots left the metric domain")
+    phi, miss = min(misses, key=lambda shot: abs(shot[1]))
+    raise ConvergenceError(
+        f"no geodesic shot entered the hit sphere in {_MAX_SHOTS} shots; "
+        f"best |miss| {abs(miss):.3g} at launch angle {phi:.6g} rad"
+    )
 
-    (lo_phi, miss_lo), hi_phi = partner, phi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo_phi + hi_phi)
-        s = _shoot(metric, f, x0, mid, step, n_max, eps)
-        if s is None:
-            raise ConvergenceError("geodesic shot left the metric domain during bisection")
-        if s.hit:
-            return s
-        if s.miss * miss_lo > 0.0:
-            lo_phi, miss_lo = mid, s.miss
-        else:
-            hi_phi = mid
-    raise ConvergenceError("shooting bisection did not reach the hit sphere")
+
+def _require_arrival(t_f: float, t_max: float) -> None:
+    """Raise :class:`UnreachableError` for a course that arrives after ``t_max``."""
+    if t_f > t_max:
+        raise UnreachableError(f"the zero-lead course reaches the target at t={t_f:.6g}, after t_max={t_max:.6g}")
 
 
 def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = None) -> CurveRecord:
@@ -390,10 +426,14 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     time (equivalently, by metric length).  :class:`UnreachableError` is
     raised when that course cannot reach the target: in a constant field,
     whose only geodesic to the origin is the straight chord, when the
-    chord does not close; in any field, when the hitting geodesic arrives
-    after ``t_max``.  ``field`` overrides the target velocity field
-    (defaults to the scenario's constant program); non-constant programs
-    require an explicit field.  ``step`` must be positive and finite.
+    chord does not close or its closed-form time to the hit sphere,
+    ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max`` (both decided
+    before any shot); in any field, when the hitting geodesic arrives
+    after ``t_max``.  :class:`ConvergenceError` is raised when no shot
+    enters the hit sphere (see :func:`_hitting_shot`).  ``field``
+    overrides the target velocity field (defaults to the scenario's
+    constant program); non-constant programs require an explicit field.
+    ``step`` must be positive and finite.
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -420,6 +460,9 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
 
     # time scale: metric length of the straight chord to the origin
     t_hat = metric.F(x0, -x0)
+    if isinstance(field, ConstantField):  # the chord is the course: its arrival time is known before any shot
+        range0 = float(np.linalg.norm(x0))
+        _require_arrival(t_hat * (range0 - eps) / range0, scenario.t_max)
     if step is None:
         step = t_hat / 512.0
     n_max = int(math.ceil(_HORIZON_FACTOR * t_hat / step))
@@ -428,10 +471,7 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     f = _geodesic_field(metric, spray_coefficients)
     shot = _hitting_shot(metric, f, x0, eps, step, n_max)
     curve = _truncate_at_contact(metric, f, shot, eps, step)
-    if curve.times[-1] > scenario.t_max:
-        raise UnreachableError(
-            f"the zero-lead course reaches the target at t={curve.times[-1]:.6g}, after t_max={scenario.t_max:.6g}"
-        )
+    _require_arrival(float(curve.times[-1]), scenario.t_max)
     if basis is None:
         return curve
     return CurveRecord(curve.times, curve.positions @ basis, curve.velocities @ basis, curve.F_values)

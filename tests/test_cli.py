@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from parnav import ConvergenceError, InvalidInputError, cli
+from parnav import ConvergenceError, InvalidInputError, cli, optimal
 from tests.conftest import CLOSING
 
 
@@ -306,6 +306,18 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, scenario_doc())
     code = cli.main(["optimal", str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
     assert code == 5
+
+
+def test_shooting_failure_names_shots_and_best_miss(tmp_path, monkeypatch, capsys):
+    def never_hits(metric, f, x0, phi, *rest):  # the aim at the origin is phi = 0 and misses least
+        return optimal._Shot([], [], 0.5 + phi * phi, 0.0, False)
+
+    monkeypatch.setattr(optimal, "_shoot", never_hits)
+    path = write_scenario(tmp_path, scenario_doc())
+    code = cli.main(["optimal", str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert f"in {optimal._MAX_SHOTS} shots; best |miss| 0.5 at launch angle 0 rad" in err
 
 
 def test_domain_exit_exit_code(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from parnav import (
     ConstantField,
     ConstantVelocity,
+    ConvergenceError,
     InfeasibleControlError,
     InvalidInputError,
     LinearField,
@@ -27,12 +28,13 @@ from parnav import (
     maximized_hamiltonian,
     monotonicity_check,
     nonmaneuvering_intercept,
+    optimal,
     optimal_trajectory,
     pmp_check,
     pursuer_ode_residual,
     simulate,
 )
-from parnav.optimal import _maximized_hamiltonians
+from parnav.optimal import _maximized_hamiltonians, _next_launch_angle
 from tests.conftest import CLOSING, DELTA0, THETA0
 
 
@@ -327,6 +329,89 @@ def test_constant_field_course_is_the_chord_or_unreachable(r, bearing, v_t, head
     else:
         with pytest.raises(UnreachableError):
             optimal_trajectory(sc)
+
+
+def test_late_constant_field_chord_is_unreachable_before_any_shot(example_scenario, monkeypatch):
+    def no_shot(*args):
+        raise AssertionError("a geodesic was shot")
+
+    monkeypatch.setattr(optimal, "_shoot", no_shot)
+    # the chord arrives at 999.5/150 = 6.66333
+    with pytest.raises(UnreachableError, match=r"t=6\.66333, after t_max=6"):
+        optimal_trajectory(example_scenario.with_(t_max=6.0))
+
+
+def _log_shots(patch, veto=lambda n: False):
+    """Record every launch angle ``_shoot`` is asked for; shot ``n`` (1-based) returns None if vetoed."""
+    real, fired = optimal._shoot, []
+
+    def logged(metric, f, x0, phi, *rest):
+        fired.append(phi)
+        return None if veto(len(fired)) else real(metric, f, x0, phi, *rest)
+
+    patch.setattr(optimal, "_shoot", logged)
+    return fired
+
+
+def _shear_scenario(hit_radius):
+    """The c09 shear engagement; its field is ``shear_metric.field``."""
+    return Scenario(r0=np.array([1.6, -0.9]), program=ConstantVelocity(0.1, 0.0), v_m=2.0, hit_radius=hit_radius)
+
+
+@pytest.mark.parametrize("hit_radius", [0.05, 0.01])
+def test_shear_course_takes_at_most_three_shots(shear_metric, monkeypatch, hit_radius):
+    # the alternating fan and bisection fired 13 and 18 shots here
+    fired = _log_shots(monkeypatch)
+    curve = optimal_trajectory(_shear_scenario(hit_radius), shear_metric.field)
+    assert len(fired) <= 3
+    assert np.linalg.norm(curve.positions[-1]) == pytest.approx(hit_radius, rel=1e-9)
+
+
+def test_shot_leaving_the_domain_is_replaced_by_the_next_fan_angle(shear_metric, monkeypatch):
+    fired = _log_shots(monkeypatch, veto=lambda n: n == 2)  # the Newton guess
+    curve = optimal_trajectory(_shear_scenario(0.01), shear_metric.field)
+    assert fired[2] == fired[0] + optimal._FAN_STEP
+    assert len(set(fired)) == len(fired)
+    assert np.linalg.norm(curve.positions[-1]) == pytest.approx(0.01, rel=1e-9)
+
+
+def test_illinois_steps_pull_a_stuck_bracket_end():
+    # on a convex miss plain regula falsi keeps one end and creeps; the Illinois rule moves it
+    def miss(phi):
+        return math.exp(3.0 * phi) - 2.0
+
+    root = math.log(2.0) / 3.0
+    misses = [(0.0, miss(0.0)), (1.0, miss(1.0))]
+    for _ in range(12):
+        phi = _next_launch_angle(misses, 0.0, 1.0)
+        if abs(phi - root) < 1e-14:
+            break
+        misses.append((phi, miss(phi)))
+    assert phi == pytest.approx(root, abs=1e-14)
+
+
+@settings(max_examples=25)
+@given(
+    grad=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+    base=st.lists(st.floats(-0.15, 0.15), min_size=2, max_size=2),
+    r=st.floats(1.0, 2.0),
+    bearing=st.floats(-math.pi, math.pi),
+    hit=st.floats(5e-3, 5e-2),
+)
+def test_shooter_hits_from_outside_or_raises_a_solver_error(grad, base, r, bearing, hit):
+    field = LinearField(base, np.reshape(grad, (2, 2)))
+    r0 = r * np.array([math.cos(bearing), math.sin(bearing)])
+    sc = Scenario(r0=r0, program=ConstantVelocity.from_vector(base), v_m=2.0, hit_radius=hit, t_max=10.0)
+    with pytest.MonkeyPatch.context() as patch:
+        fired = _log_shots(patch)
+        try:
+            curve = optimal_trajectory(sc, field, step=0.05)
+        except (ConvergenceError, OutOfDomainError, UnreachableError):
+            return
+    assert len(set(fired)) == len(fired)
+    ranges = np.linalg.norm(curve.positions, axis=1)
+    assert ranges[-1] == pytest.approx(hit, rel=1e-9)
+    assert np.all(ranges[:-1] > hit)
 
 
 def test_optimal_trajectory_needs_field_for_maneuvers():
