@@ -402,6 +402,8 @@ def _parse_grid(text: str) -> tuple[list[float], list[float]]:
             raise InvalidInputError(f"grid: bad number in {part!r}") from exc
         if not grid[name]:
             raise InvalidInputError(f"grid: axis {name!r} is empty")
+        if not all(math.isfinite(v) for v in grid[name]):
+            raise InvalidInputError(f"grid: non-finite value in {part!r}")
     for name in ("K", "theta0_deg"):
         if name not in grid:
             raise InvalidInputError(f"grid: missing axis {name!r}")

@@ -1,12 +1,12 @@
 """Geodesic flow of the navigation metric.
 
 Everything here works with a metric object exposing ``F_many``,
-``energy_many`` (``E = F^2``) and ``spray_many`` (see :mod:`parnav.metric`).
-The spray coefficients ``G^i = 1/4 g^{il} (d2E/(dy^l dx^k) y^k - dE/dx^l)``
-drive the geodesic equation ``x'' = -2 G(x, x')``; the metric evaluates
-them in closed form.  Their second y-derivatives, the Berwald connection
-``G^i_jk`` of the covariant derivative along curves, and the
-Euler-Lagrange residual are finite differences (:mod:`parnav.numdiff`).
+``gradients_many`` and ``spray_many`` (see :mod:`parnav.metric`).  The
+spray coefficients ``G^i = 1/4 g^{il} (d2E/(dy^l dx^k) y^k - dE/dx^l)``,
+``E = F^2``, drive the geodesic equation ``x'' = -2 G(x, x')``; they and
+the Euler-Lagrange residual's partials of ``F`` are closed forms.  The
+Berwald connection ``G^i_jk`` is a finite-difference stencil on the spray
+(:mod:`parnav.numdiff`).
 
 Every numpy RK4 integration in the package takes its steps with
 :func:`_rk4_step`: geodesics, shot or integrated over a horizon, step the
@@ -218,21 +218,14 @@ def action_integral(metric, curve: CurveRecord, lagrangian: str = "F") -> float:
 def euler_lagrange_residual(metric, curve: CurveRecord, energy_scale: float = 0.5) -> np.ndarray:
     """Node-wise Euler-Lagrange defect for ``L = energy_scale * F^2``.
 
-    Computes ``| d/dt (dL/dv) - dL/dx |`` at every node: momenta by
-    batched velocity-slot differences, their time derivative by
-    second-order differences on the curve grid (including one-sided
-    second-order stencils at both endpoints -- first-order ends are not
-    accurate enough to certify a geodesic), and the position gradient by
-    central differences with a fine step since nothing differences it
-    again.
+    Computes ``| d/dt (dL/dv) - dL/dx |`` at every node.  Both partials,
+    ``dL/dv = 2 energy_scale F dF/dv`` and ``dL/dx = 2 energy_scale F dF/dx``,
+    come from one batched ``metric.gradients_many`` call; the momenta's time
+    derivative takes second-order differences on the curve grid, with
+    one-sided second-order stencils at both endpoints (first-order ends are
+    not accurate enough to certify a geodesic).
     """
-    N = curve.n_nodes
-    P = np.empty_like(curve.positions)
-    dLdx = np.empty_like(curve.positions)
-    for i in range(N):
-        xi, vi = curve.positions[i], curve.velocities[i]
-        P[i] = energy_scale * numdiff.y_gradient(metric.energy_many, xi, vi)
-        hx = 1e-5 * (1.0 + float(np.linalg.norm(xi)))
-        dLdx[i] = energy_scale * numdiff.x_gradient(metric.energy_many, xi, vi, h=hx)
-    dPdt = np.gradient(P, curve.times, axis=0, edge_order=2)
-    return np.linalg.norm(dPdt - dLdx, axis=1)
+    F, dFdv, dFdx = metric.gradients_many(curve.positions, curve.velocities)
+    k = (2.0 * energy_scale * F)[:, None]
+    dPdt = np.gradient(k * dFdv, curve.times, axis=0, edge_order=2)
+    return np.linalg.norm(dPdt - k * dFdx, axis=1)

@@ -202,8 +202,8 @@ class Scenario:
             raise InvalidInputError("r0 must be finite")
         if not (self.v_m > 0.0 and math.isfinite(self.v_m)):
             raise InvalidInputError("pursuer speed must be positive")
-        if not (self.dt > 0.0 and self.t_max > 0.0 and self.hit_radius > 0.0):
-            raise InvalidInputError("dt, t_max and hit_radius must be positive")
+        if not all(0.0 < v < math.inf for v in (self.dt, self.t_max, self.hit_radius)):
+            raise InvalidInputError("dt, t_max and hit_radius must be positive and finite")
         if float(np.linalg.norm(r0)) <= self.hit_radius:
             raise InvalidInputError("initial range must exceed the hit radius")
         if r0.size == 3 and getattr(self.program, "dim", 2) != 3:

@@ -204,6 +204,15 @@ class NavMetric:
         V = self.field.many(np.asarray(X, dtype=float))
         return Y, ny, np.einsum("ij,ij->i", Y, V), V
 
+    def _closing_speed(self, delta):
+        """``c = v_M cos(delta)`` at the metric's own lead angle, or elementwise over ``delta``."""
+        if delta is None:
+            return self.params.v_m * self.params.cos_delta
+        delta = np.asarray(delta, dtype=float)
+        if not (np.abs(delta) < math.pi / 2.0).all():
+            raise InvalidInputError("delta must lie in (-pi/2, pi/2)")
+        return self.params.v_m * np.cos(delta)
+
     def value_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise ``(F, denominator)`` without the domain gate (F is NaN outside it).
 
@@ -211,14 +220,9 @@ class NavMetric:
         ``(m, k)`` / ``(1, k)`` table sharing each row's ``|y|`` and ``<y, v_T>``.
         """
         _, ny, yv, _ = self._closing_terms(X, Y)
-        c = self.params.v_m * self.params.cos_delta
-        if delta is not None:
-            delta = np.asarray(delta, dtype=float)
-            if not (np.abs(delta) < math.pi / 2.0).all():
-                raise InvalidInputError("delta must lie in (-pi/2, pi/2)")
-            c = self.params.v_m * np.cos(delta)
-            if delta.ndim == 2:
-                ny, yv = ny[:, None], yv[:, None]
+        c = self._closing_speed(delta)
+        if np.ndim(c) == 2:
+            ny, yv = ny[:, None], yv[:, None]
         return _closing_quotient(c, ny, yv)
 
     def F_many(self, X: np.ndarray, Y: np.ndarray, delta=None) -> np.ndarray:
@@ -261,18 +265,40 @@ class NavMetric:
         k = (r_00 - 2.0 * Q * ny * s_0) * Psi  # Theta = (1 - 4s) Psi / 2
         return (ny * Q)[:, None] * s_i0 + k[:, None] * (b + (0.5 * (1.0 - 4.0 * s) / ny)[:, None] * Y)
 
-    def energy_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        f = self.F_many(X, Y)
-        return f * f
+    def _velocity_gradient(self, X, Y, delta=None):
+        """Row-wise ``(Y, |y|, F, dF/dy, D, w)`` behind :meth:`gradients_many`."""
+        Y, ny, yv, V = self._closing_terms(X, Y)
+        c = self._closing_speed(delta)
+        f, den = _closing_quotient(c, ny, yv)
+        _require_closing(den)
+        w = (c / ny)[:, None] * Y - V
+        return Y, ny, f, (2.0 * Y - f[:, None] * w) / den[:, None], den, w
+
+    def gradients_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row-wise ``(F, dF/dy, dF/dx)`` in closed form, gated like :meth:`F_many`.
+
+        With ``D = c|y| - <y, v_T>`` (``c = v_M cos delta``) and ``w = dD/dy = c y/|y| - v_T``:
+        ``dF/dy = (2y - F w)/D`` and ``dF/dx = (F/|y|)^2 J^T y`` with ``J = dv_T/dx``
+        (zero for a field without a Jacobian).  ``delta`` overrides the lead angle per row.
+        """
+        Y, ny, f, dFdy, _, _ = self._velocity_gradient(X, Y, delta)
+        J = self.field.jacobian(X)
+        if J is None:
+            return f, dFdy, np.zeros_like(Y)
+        return f, dFdy, ((f / ny) ** 2)[:, None] * (Y[:, None, :] @ J)[:, 0, :]
 
     # -- derived quantities --------------------------------------------------
 
-    def fundamental_tensor(self, x, y, h: float | None = None) -> np.ndarray:
-        """``g_ij(x, y) = 1/2 d2(F^2)/dy_i dy_j`` by central differences."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.F(x, y)  # domain gate with a precise error
-        return 0.5 * numdiff.y_hessian(self.energy_many, x, y, h=h)
+    def fundamental_tensor(self, x, y) -> np.ndarray:
+        """``g = 1/2 d2(F^2)/dy2 = dF dF^T + F d2F/dy2`` in closed form, with ``dF = dF/dy``, ``D``
+        and ``w`` as in :meth:`gradients_many`, ``u = y/|y|`` and
+        ``d2F/dy2 = (2 I - (c F/|y|)(I - u u^T) - dF w^T - w dF^T) / D``."""
+        rows = (np.asarray(a, dtype=float)[None, :] for a in (x, y))
+        Y, ny, f, dF, den, w = (a[0] for a in self._velocity_gradient(*rows))
+        u, eye, cross = Y / ny, np.eye(Y.size), np.outer(dF, w)
+        # cross + cross.T is exactly symmetric, and so is g
+        hess = (2.0 * eye - (self._closing_speed(None) * f / ny) * (eye - np.outer(u, u)) - (cross + cross.T)) / den
+        return np.outer(dF, dF) + f * hess
 
     def unit_vector(self, x, direction) -> np.ndarray:
         """Rescale ``direction`` to unit metric length (F = 1)."""

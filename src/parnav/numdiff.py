@@ -1,12 +1,10 @@
 """Finite-difference backend for metric derivatives.
 
-The spray is in closed form (``NavMetric.spray_many``).  What is still
-differenced -- the Euler-Lagrange residual, the certificate's costates,
-the fundamental tensor, callable-field Jacobians, the Berwald stencil and
-the tests' spray oracle -- funnels through this module so the step-size
-policy lives in one place.  Energy derivatives take a *batched* callable
-``energy_many(X, Y) -> (m,)`` evaluating ``F(x_i, y_i)**2`` row-wise, so a
-full Hessian stencil is one vectorized metric evaluation.
+The spray, ``F``'s gradients and the fundamental tensor are closed forms
+of the metric.  The package still differences callable-field Jacobians
+(:func:`x_jacobian`) and the Berwald stencil (:func:`directional_second`);
+the energy stencils take a *batched* ``energy_many(X, Y) -> (m,)`` (e.g.
+``F(x_i, y_i)**2`` row-wise) and serve the tests as closed-form oracles.
 
 Step sizes are relative.  Velocity-slot steps scale with ``|y|`` (the
 energy is 2-homogeneous in ``y``, so the natural length scale is the
@@ -59,30 +57,26 @@ def _x_step(x: np.ndarray, h: float | None, rel: float) -> float:
     return float(rel * (1.0 + np.linalg.norm(x))) if h is None else float(h)
 
 
+def _central_gradient(f, z: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient of a batched scalar map ``f(Z) -> (m,)`` at ``z``."""
+    n = z.size
+    eye = np.eye(n) * h
+    vals = f(np.concatenate([z + eye, z - eye]))
+    return (vals[:n] - vals[n:]) / (2.0 * h)
+
+
 def y_gradient(
     energy_many: EnergyMany, x: np.ndarray, y: np.ndarray, h: float | None = None
 ) -> np.ndarray:
     """Central-difference gradient of the energy in its velocity slot."""
-    n = y.size
-    h = _y_step(y, h, H_REL_Y)
-    eye = np.eye(n) * h
-    Y = np.concatenate([y + eye, y - eye])
-    X = np.broadcast_to(x, (2 * n, n))
-    vals = energy_many(X, Y)
-    return (vals[:n] - vals[n:]) / (2.0 * h)
+    return _central_gradient(lambda Y: energy_many(np.broadcast_to(x, Y.shape), Y), y, _y_step(y, h, H_REL_Y))
 
 
 def x_gradient(
     energy_many: EnergyMany, x: np.ndarray, y: np.ndarray, h: float | None = None
 ) -> np.ndarray:
     """Central-difference gradient of the energy in its position slot."""
-    n = x.size
-    h = _x_step(x, h, H_REL_X)
-    eye = np.eye(n) * h
-    X = np.concatenate([x + eye, x - eye])
-    Y = np.broadcast_to(y, (2 * n, n))
-    vals = energy_many(X, Y)
-    return (vals[:n] - vals[n:]) / (2.0 * h)
+    return _central_gradient(lambda X: energy_many(X, np.broadcast_to(y, X.shape)), x, _x_step(x, h, H_REL_X))
 
 
 def y_hessian(
@@ -90,40 +84,19 @@ def y_hessian(
 ) -> np.ndarray:
     """Central-difference Hessian of the energy in its velocity slot.
 
-    Diagonal entries use the 3-point second difference; off-diagonal
-    entries use the 4-corner cross stencil, which is symmetric by
-    construction.  The whole stencil is evaluated in one batched call.
+    Entry ``(i, j)`` is the cross stencil ``(E(++) + E(--) - E(+-) - E(-+)) / (4 a^2)``
+    on the corners ``y +- a e_i +- a e_j``, with ``a = h`` off the diagonal and
+    ``a = h/2`` on it, where it is the 3-point second difference with step
+    ``h``.  It is symmetric by construction, and the whole stencil is one
+    batched call.
     """
     n = y.size
-    h = _y_step(y, h, H_REL_Y)
-    offsets: list[np.ndarray] = [np.zeros(n)]
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        offsets.append(ei)
-        offsets.append(-ei)
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append((i, j))
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            offsets.extend([ei + ej, ei - ej, -ei + ej, -ei - ej])
-    Y = y[None, :] + np.asarray(offsets)
-    X = np.broadcast_to(x, Y.shape)
-    vals = energy_many(X, Y)
-
-    hess = np.empty((n, n))
-    f0 = vals[0]
-    for i in range(n):
-        hess[i, i] = (vals[1 + 2 * i] - 2.0 * f0 + vals[2 + 2 * i]) / (h * h)
-    base = 1 + 2 * n
-    for k, (i, j) in enumerate(pairs):
-        fpp, fpm, fmp, fmm = vals[base + 4 * k : base + 4 * k + 4]
-        hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-    return hess
+    eye = np.eye(n)
+    a = _y_step(y, h, H_REL_Y) * (1.0 - 0.5 * eye)
+    signs = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+    Y = y + np.array([(si * eye[:, None, :] + sj * eye[None, :, :]) * a[:, :, None] for si, sj in signs])
+    E = energy_many(np.broadcast_to(x, (4 * n * n, n)), Y.reshape(-1, n)).reshape(4, n, n)
+    return ((E[0] + E[1]) - (E[2] + E[3])) / (4.0 * a * a)
 
 
 def xy_mixed(
@@ -137,18 +110,12 @@ def xy_mixed(
     n = x.size
     hx = _x_step(x, hx, H_REL_X)
     hy = _y_step(y, hy, H_REL_X)
-    X_off = np.eye(n) * hx
-    Y_off = np.eye(n) * hy
-    # Rows ordered as (sx, sy, k, l) over signs sx, sy in {+, -}.
-    X_rows = []
-    Y_rows = []
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            for k in range(n):
-                for l in range(n):
-                    X_rows.append(x + sx * X_off[k])
-                    Y_rows.append(y + sy * Y_off[l])
-    vals = energy_many(np.asarray(X_rows), np.asarray(Y_rows)).reshape(2, 2, n, n)
+    s = np.array([1.0, -1.0])
+    # rows ordered as (sx, sy, k, l) over signs sx, sy in {+, -}
+    X = x + s[:, None, None, None, None] * (np.eye(n) * hx)[:, None, :]
+    Y = y + s[None, :, None, None, None] * (np.eye(n) * hy)[None, :, :]
+    X, Y = (A.reshape(-1, n) for A in np.broadcast_arrays(X, Y))
+    vals = energy_many(X, Y).reshape(2, 2, n, n)
     mixed_kl = (vals[0, 0] - vals[0, 1] - vals[1, 0] + vals[1, 1]) / (4.0 * hx * hy)
     return mixed_kl.T  # -> [l, k]
 

@@ -41,7 +41,6 @@ from .geodesics import (
 )
 from .kinematics import Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
 from .metric import ConstantField, NavMetric, NavMetricParams
-from . import numdiff
 
 __all__ = [
     "PMPState",
@@ -201,19 +200,16 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
     Everything is evaluated with ``metric``'s field at zero lead angle,
     whatever its own ``delta``.  The course must be unit-F parametrized
     to 1e-6 (anything else is a usage error, not a failed certificate).
-    Costates are the canonical momenta ``p = d(F^2/2)/dv`` of the
-    course's own velocity; the adjoint residual compares their time
-    derivative against the position gradient of the maximized
-    Hamiltonian (central differences with step ``h = 1e-5 (1 + |x|)``,
-    re-maximizing at each perturbed position); the Euler-Lagrange
-    residual uses ``L = F^2``.  The course passes when ``|H|``, the
-    adjoint and Euler-Lagrange residuals are at most 1e-4 and the
-    control gap at most 1e-6.
-
-    Every maximization follows :func:`maximized_hamiltonian` (interior
-    grid of 181 lead angles, golden refinement to 1e-8, a grid point
-    that beats the refinement wins), run as one batch over all nodes and
-    their ``2n`` stencil points ``x +- h e_k``.
+    Costates are the canonical momenta ``p = F dF/dv``.  The adjoint
+    residual is ``|dp/dt + dH*/dx|``, where ``dH*/dx = -dF_{delta*}/dx`` at
+    fixed ``v`` by the envelope theorem (Danskin, *The Theory of Max-Min*,
+    1967), so no position stencil is re-maximized.  ``F``'s gradients are
+    closed forms (:meth:`NavMetric.gradients_many`); only time derivatives,
+    of ``p`` and in the Euler-Lagrange residual (``L = F^2``), are
+    differences on the curve grid.  The course passes when ``|H|``, the
+    adjoint and Euler-Lagrange residuals are at most 1e-4 and the control
+    gap at most 1e-6.  The lead-angle maximization follows
+    :func:`maximized_hamiltonian`, run as one batch over all nodes.
     """
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not np.isfinite(unit_defect) or unit_defect > 1e-6:
@@ -221,27 +217,16 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
             f"course is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})"
         )
     metric = metric.with_delta(0.0)
-    X, V, n, N = curve.positions, curve.velocities, curve.dim, curve.n_nodes
-    # costates: central differences in v with numdiff.y_gradient's step
-    hv = (numdiff.H_REL_Y * np.sqrt(_row_dots(V, V)))[:, None, None] * np.eye(n)
-    Ys = np.concatenate([V[:, None, :] + hv, V[:, None, :] - hv], axis=1)
-    E = metric.F_many(np.repeat(X, 2 * n, axis=0), Ys.reshape(-1, n)) ** 2
-    E = E.reshape(N, 2, n)
-    P = 0.5 * ((E[:, 0] - E[:, 1]) / (2.0 * hv.diagonal(axis1=1, axis2=2)))
-    h_at = _row_dots(P, V) - metric.F_many(X, V)
+    X, V = curve.positions, curve.velocities
+    F, dFdv, _ = metric.gradients_many(X, V)
+    P = F[:, None] * dFdv
+    h_at = _row_dots(P, V) - F
 
-    # one scan over every node x and its stencil points x +- h e_k
-    hx = 1e-5 * (1.0 + np.sqrt(_row_dots(X, X)))
-    shifts = hx[None, :, None] * np.eye(n)[:, None, :]  # (n, N, n)
-    rows = np.concatenate([X[None], X[None] + shifts, X[None] - shifts]).reshape(-1, n)
-    reps = (2 * n + 1, 1)
-    H, dstars = _maximized_hamiltonians(metric, rows, np.tile(P, reps), np.tile(V, reps))
-    H = H.reshape(2 * n + 1, N)
-    hams, dstars = H[0], dstars[:N]
+    hams, dstars = _maximized_hamiltonians(metric, X, P, V)
     gaps = hams - h_at
-    grad = ((H[1 : n + 1] - H[n + 1 :]) / (2.0 * hx)).T
+    _, _, dFdx = metric.gradients_many(X, V, dstars)
     dPdt = np.gradient(P, curve.times, axis=0, edge_order=2)
-    adj = np.linalg.norm(dPdt + grad, axis=1)
+    adj = np.linalg.norm(dPdt - dFdx, axis=1)
 
     el = euler_lagrange_residual(metric, curve, energy_scale=1.0)
 

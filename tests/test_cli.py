@@ -295,6 +295,18 @@ def test_sweep_grid_validation(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "grid", ["K=2;theta0_deg=inf", "K=2;theta0_deg=nan", "K=inf;theta0_deg=0", "K=2,-inf;theta0_deg=0"]
+)
+def test_sweep_rejects_non_finite_grid_values(tmp_path, capsys, grid):
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "x.csv"
+    code = cli.main(["sweep", str(path), "--out", str(out), "--grid", grid, "--quiet"])
+    assert code == 2
+    assert "grid: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- numerical-failure mapping -----------------------------------------------------
 
 

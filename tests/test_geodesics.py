@@ -32,9 +32,12 @@ from parnav.geodesics import _rk4_step
 
 def _fd_spray(metric, x, y):
     """Finite-difference spray ``1/4 g^{-1} (d2E/dydx y - dE/dx)``, the oracle for the closed form."""
+    def energy(X, Y):
+        return metric.F_many(X, Y) ** 2
+
     g = metric.fundamental_tensor(x, y)
-    mixed = numdiff.xy_mixed(metric.energy_many, x, y)
-    dEdx = numdiff.x_gradient(metric.energy_many, x, y)
+    mixed = numdiff.xy_mixed(energy, x, y)
+    dEdx = numdiff.x_gradient(energy, x, y)
     return 0.25 * np.linalg.solve(g, mixed @ y - dEdx)
 
 
@@ -111,6 +114,52 @@ def test_spray_matches_symbolic_reference(v_m, delta, base, gradient, x, y, expe
     G = spray_coefficients(m, np.array(x), np.array(y))
     ref = np.array([float(v) for v in expected])
     assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# (dF/dy, dF/dx, g_ij row-major) at the SPRAY_REFERENCE points, from exact symbolic
+# derivatives of F and F^2/2 (sympy 1.14, inputs taken as their exact binary values,
+# evaluated at 60 digits, kept to 25)
+GRADIENT_REFERENCE = [
+    (["0.5986784443041598107127646", "-0.1708057183739897119698873"], ["0.0", "0.1556212401569390647015134"],
+     ["0.3976689473554888408705763", "-0.001321242003149241676701534", "-0.001321242003149241676701534",
+     "0.2887254899324570744622239"]),
+    (["-0.2416866595955822046473756", "0.4688810235124547461362306"], ["0.0", "-0.04928155561898089341418586"],
+     ["0.2968870049596829835390268", "-0.02660426521749658990508626", "-0.02660426521749658990508626",
+     "0.2513832407929912256053828"]),
+    (["0.6658517182115564341353062", "-0.05187592788983498954961707"], ["0.0", "0.3406996897587894478310429"],
+     ["0.4474223530674987502644261", "9.848695773341072719198781E-7", "9.848695773341072719198781E-7",
+     "0.2963037268995948208793213"]),
+    (["-0.4777380601908533253764607", "0.1642149952588913927975320"], ["-0.006369993049279088347959813",
+     "0.04713794856466524083293592"], ["0.2500859335129100473701108", "-0.005610822095930771925682053",
+     "-0.005610822095930771925682053", "0.2697696686455516574066176"]),
+    (["0.05530003692757230623237237", "-0.6156833824636196684522991"], ["-0.05714467619969700270057923",
+     "-0.001843376651603131017392138"], ["0.3141944252083587866095240", "0.05484878082097434092214127",
+     "0.05484878082097434092214127", "0.4044649116152452444646604"]),
+    (["-0.3648999095988748393588776", "0.3264610504366104607914191"], ["0.02890352276271116635662692",
+     "0.09827197739321798197810334"], ["0.2038316007217539493097912", "-0.001326179964394677911305629",
+     "-0.001326179964394677911305629", "0.3029091971646387835276744"]),
+    (["-0.1558036629814823613032249", "0.2411833987126083858327261", "-0.1590258309533010253666696"],
+     ["-0.02773405938479333620975810", "0.008533556733782565807496344", "0.03413422693513025790077534"],
+     ["0.1158124813558736806009092", "-0.004658314020591827407143007", "-0.002727789310426584287432282",
+     "-0.004658314020591827407143007", "0.1138324613620192560523082", "0.006535189330036999425377037",
+     "-0.002727789310426584287432282", "0.006535189330036999425377037", "0.1020296367746701077350429"]),
+    (["0.3351876675388730574527243", "0.06302123812830884243523407", "-0.08529107236461830627585850"],
+     ["0.001232104643712660569822874", "0.04373971485179945689727787", "-0.01170499411527027712320598"],
+     ["0.1198137772964640300010682", "0.005009397824272907252697364", "-0.004504189077898502087730253",
+     "0.005009397824272907252697364", "0.1213690001960460774135223", "-0.002311471771540571801484385",
+     "-0.004504189077898502087730253", "-0.002311471771540571801484385", "0.1217105423046924577511086"]),
+]
+
+
+@pytest.mark.parametrize("point, expected", zip(SPRAY_REFERENCE, GRADIENT_REFERENCE))
+def test_gradients_and_tensor_match_symbolic_reference(point, expected):
+    v_m, delta, base, gradient, x, y, _ = point
+    m = NavMetric(NavMetricParams(v_m, delta), LinearField(base, gradient))
+    _, dFdy, dFdx = m.gradients_many(np.array([x]), np.array([y]))
+    g = m.fundamental_tensor(np.array(x), np.array(y))
+    for got, values in zip((dFdy[0], dFdx[0], g.ravel()), expected):
+        ref = np.array([float(v) for v in values])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 unit = st.floats(-1.0, 1.0)

@@ -107,6 +107,14 @@ def test_scenario_validation():
     assert Scenario.stationary(100.0, 3.0).speed_ratio is None
 
 
+@pytest.mark.parametrize("key", ["dt", "t_max", "hit_radius"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_scenario_rejects_non_finite_steps(key, value):
+    # construction only: simulate with t_max = inf against this receding target would never time out
+    with pytest.raises(InvalidInputError, match="positive and finite"):
+        Scenario.nonmaneuvering(100.0, 10.0, 0.0, ratio=0.5, **{key: value})
+
+
 # --- simulation ---------------------------------------------------------------
 
 

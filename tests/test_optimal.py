@@ -22,12 +22,14 @@ from parnav import (
     Scenario,
     UnreachableError,
     curve_from_arrays,
+    euler_lagrange_residual,
     hamiltonian,
     integrate_geodesic,
     lengths_over_lead_angles,
     maximized_hamiltonian,
     monotonicity_check,
     nonmaneuvering_intercept,
+    numdiff,
     optimal,
     optimal_trajectory,
     pmp_check,
@@ -230,6 +232,42 @@ def test_pmp_certificate_on_shear_geodesic(shear_metric, shear_start):
     assert report.max_hamiltonian < 1e-4
     assert report.max_adjoint_residual < 1e-4
     assert report.max_el_residual < 1e-4
+
+
+def test_envelope_adjoint_matches_re_maximizing_stencil(shear_metric, shear_start):
+    """Oracle for the adjoint: central differences of H* in x, re-maximizing H at every x +- h e_k."""
+    x0, y0 = shear_start
+    curve = integrate_geodesic(shear_metric, x0, y0, horizon=2.0, step=1e-2)
+    report = pmp_check(shear_metric, curve)
+    X, V, n = curve.positions, curve.velocities, curve.dim
+    F, dFdv, _ = shear_metric.gradients_many(X, V)
+    P = F[:, None] * dFdv
+    hx = 1e-5 * (1.0 + np.linalg.norm(X, axis=1))
+    grad = np.empty_like(X)
+    for k in range(n):
+        shift = hx[:, None] * np.eye(n)[k]
+        up, _ = _maximized_hamiltonians(shear_metric, X + shift, P, V)
+        down, _ = _maximized_hamiltonians(shear_metric, X - shift, P, V)
+        grad[:, k] = (up - down) / (2.0 * hx)
+    adj = np.linalg.norm(np.gradient(P, curve.times, axis=0, edge_order=2) + grad, axis=1)
+    # dH*/dx = -dF_{delta*}/dx; measured 1.3e-11 against |dF/dx| up to 0.27
+    _, _, dFdx = shear_metric.gradients_many(X, V, report.delta_stars)
+    assert np.max(np.abs(grad + dFdx)) <= 1e-9
+    assert np.max(np.abs(report.adjoint_residuals - adj)) <= 1e-9
+
+
+def test_certificate_of_linear_field_calls_no_finite_difference(shear_metric, shear_start, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate's derivatives must not difference")
+
+    for name in numdiff.__all__:
+        if callable(getattr(numdiff, name)):
+            monkeypatch.setattr(numdiff, name, forbidden)
+    x0, y0 = shear_start
+    curve = integrate_geodesic(shear_metric, x0, y0, horizon=2.0, step=1e-2)
+    assert pmp_check(shear_metric, curve).passed
+    assert np.all(np.isfinite(euler_lagrange_residual(shear_metric, curve)))
+    assert np.all(np.isfinite(shear_metric.fundamental_tensor(x0, y0)))
 
 
 # --- shooting -----------------------------------------------------------------
