@@ -37,6 +37,7 @@ from .errors import (
     UnreachableError,
 )
 from .kinematics import (
+    _MAX_STEPS,
     ConstantVelocity,
     PiecewiseConstant,
     Scenario,
@@ -55,9 +56,6 @@ EXIT_UNREACHABLE = 4
 EXIT_NUMERICAL = 5
 
 SCHEMA_VERSION = 1
-
-# largest t_max/dt a scenario may ask the simulator to step through
-_MAX_STEPS = 1e7
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ Berwald connection ``G^i_jk`` is a finite-difference stencil on the spray
 (:mod:`parnav.numdiff`).
 
 Every numpy RK4 integration in the package takes its steps with
-:func:`_rk4_step`: geodesics, shot or integrated over a horizon, step the
-state ``z = (x, y)`` through the first-order field of
-:func:`_geodesic_field`.  The scalar simulator core in
-:mod:`parnav.kinematics` keeps its own float-only stages.
+:func:`_rk4_step`: geodesics integrated over a horizon step the state
+``z = (x, y)`` through the first-order field of :func:`_geodesic_field`.
+The shooter in :mod:`parnav.optimal`, like the simulator core in
+:mod:`parnav.kinematics`, keeps its own float-only stages.
 """
 
 from __future__ import annotations
@@ -158,12 +158,9 @@ def _rk4_step(f, z, h: float) -> np.ndarray:
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _geodesic_field(metric, spray):
-    """``z = (x, y) -> (y, -2 G(x, y))``, the geodesic equation as a first-order field.
-
-    ``z`` is a ``(2, n)`` array; ``spray(metric, x, y)`` evaluates ``G``.
-    """
-    return lambda z: np.array((z[1], -2.0 * spray(metric, z[0], z[1])))
+def _geodesic_field(metric):
+    """``z = (x, y) -> (y, -2 G(x, y))``, the geodesic equation as a first-order field on ``(2, n)`` arrays."""
+    return lambda z: np.array((z[1], -2.0 * spray_coefficients(metric, z[0], z[1])))
 
 
 def _curve_from_states(metric, times, states) -> CurveRecord:
@@ -186,7 +183,7 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
     if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
         raise InvalidInputError("horizon must be an integer multiple of step")
 
-    f = _geodesic_field(metric, spray_coefficients)
+    f = _geodesic_field(metric)
     states = [np.array((x0, y0), dtype=float)]
     for k in range(n_steps):
         try:

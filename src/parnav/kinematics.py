@@ -175,6 +175,8 @@ class Waypoints:
 # Scenario and results
 # ---------------------------------------------------------------------------
 
+_MAX_STEPS = 1e7  # the step budget: the most steps a scenario's t_max/dt, or one geodesic shot, may take
+
 
 @dataclass(frozen=True)
 class Scenario:

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError
-from . import numdiff
 
 __all__ = [
     "ConstantField",
@@ -88,29 +86,12 @@ class LinearField:
         return self.gradient  # d v_T^i / dx^k, the same at every row
 
 
-class _CallableField:
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], dim: int):
-        self.fn = fn
-        self.dim = dim
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def many(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray([self(row) for row in X])
-
-    def jacobian(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray([numdiff.x_jacobian(self, row) for row in np.asarray(X, dtype=float)])
-
-
-def as_field(obj, dim: int | None = None):
-    """Coerce vectors/callables into a velocity field object."""
+def as_field(obj):
+    """Coerce a vector into a :class:`ConstantField`; field objects pass through."""
     if hasattr(obj, "many") and hasattr(obj, "dim"):
         return obj
     if callable(obj):
-        if dim is None:
-            raise InvalidInputError("callable fields need an explicit dimension")
-        return _CallableField(obj, dim)
+        raise InvalidInputError("a velocity field must be a vector or a field object, not a callable")
     return ConstantField(obj)
 
 

@@ -1,10 +1,10 @@
 """Finite-difference backend for metric derivatives.
 
 The spray, ``F``'s gradients and the fundamental tensor are closed forms
-of the metric.  The package still differences callable-field Jacobians
-(:func:`x_jacobian`) and the Berwald stencil (:func:`directional_second`);
-the energy stencils take a *batched* ``energy_many(X, Y) -> (m,)`` (e.g.
-``F(x_i, y_i)**2`` row-wise) and serve the tests as closed-form oracles.
+of the metric.  The package still differences the Berwald stencil
+(:func:`directional_second`); the energy stencils take a *batched*
+``energy_many(X, Y) -> (m,)`` (e.g. ``F(x_i, y_i)**2`` row-wise) and
+serve the tests as closed-form oracles.
 
 Step sizes are relative.  Velocity-slot steps scale with ``|y|`` (the
 energy is 2-homogeneous in ``y``, so the natural length scale is the
@@ -31,13 +31,12 @@ __all__ = [
     "y_hessian",
     "x_gradient",
     "xy_mixed",
-    "x_jacobian",
     "directional_second",
 ]
 
 # Velocity-slot step for gradients/Hessians of the energy.
 H_REL_Y = 1e-4
-# Position-slot step (energy x-gradients, field Jacobians); xy_mixed uses it in both slots.
+# Position-slot step for energy x-gradients; xy_mixed uses it in both slots.
 H_REL_X = 1e-3
 # Directional step for second y-derivatives of the spray (4th-order stencil).
 BERWALD_REL = 5e-2
@@ -118,12 +117,6 @@ def xy_mixed(
     vals = energy_many(X, Y).reshape(2, 2, n, n)
     mixed_kl = (vals[0, 0] - vals[0, 1] - vals[1, 0] + vals[1, 1]) / (4.0 * hx * hy)
     return mixed_kl.T  # -> [l, k]
-
-
-def x_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian ``J[i, k] = d f_i / dx_k`` of a vector map."""
-    h = _x_step(x, h, H_REL_X)
-    return np.stack([f(x + e) - f(x - e) for e in np.eye(x.size) * h], axis=1) / (2.0 * h)
 
 
 def directional_second(

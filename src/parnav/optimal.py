@@ -32,15 +32,13 @@ from .errors import (
 from .geodesics import (
     CurveRecord,
     _covariant_rate,
-    _curve_from_states,
-    _geodesic_field,
-    _rk4_step,
     _trapezoid,
+    curve_from_arrays,
     euler_lagrange_residual,
     spray_coefficients,
 )
-from .kinematics import Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
-from .metric import ConstantField, NavMetric, NavMetricParams
+from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
+from .metric import ConstantField, LinearField, NavMetric, NavMetricParams
 
 __all__ = [
     "PMPState",
@@ -256,9 +254,73 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
 # ---------------------------------------------------------------------------
 
 
+class _PlanarFlow:
+    """The shooter's stepper: the geodesic flow of a planar metric on Python floats.
+
+    Every shot is planar, and a one-row numpy spray costs about ten times
+    these stages (the simulator's :class:`parnav.kinematics._PlanarCore` is
+    float-only for the same reason).  States are ``(x1, x2, y1, y2)``.
+    Stages are gated like :meth:`NavMetric.spray_many`, plus the spray's
+    poles: :class:`OutOfDomainError` where ``c|y| - <y, v_T>`` is not
+    positive (or NaN) or ``1 - 2s`` or ``1 + 2|b|^2 - 3s`` is zero,
+    :class:`InvalidInputError` at ``y = 0``.
+    """
+
+    def __init__(self, metric: NavMetric):
+        field = metric.field
+        if not isinstance(field, (ConstantField, LinearField)) or field.dim != 2:
+            raise InvalidInputError("geodesic shooting needs a 2-d constant or linear field")
+        self.c = metric.params.v_m * metric.params.cos_delta
+        self.base = (field.value if isinstance(field, ConstantField) else field.base).tolist()
+        self.grad = self.A = None  # dv_T/dx and db/dx = (dv_T/dx)/c, row-major, of a linear field
+        if isinstance(field, LinearField):
+            self.grad, self.A = field.gradient.ravel().tolist(), (field.gradient / self.c).ravel().tolist()
+
+    def accel(self, x1, x2, y1, y2) -> tuple[float, float]:
+        """``-2 G(x, y)`` by :meth:`NavMetric.spray_many`'s formula, in its order (zero in a constant field)."""
+        ny = math.sqrt(y1 * y1 + y2 * y2)
+        if ny == 0.0:
+            raise InvalidInputError("metric is undefined at the zero velocity")
+        c, (v1, v2), g = self.c, self.base, self.grad
+        if g is not None:
+            v1, v2 = v1 + (g[0] * x1 + g[1] * x2), v2 + (g[2] * x1 + g[3] * x2)
+        yv = y1 * v1 + y2 * v2
+        den = c * ny - yv
+        if not den > 0.0:
+            raise OutOfDomainError(f"a shot stage does not close on the target (denominator {den:.6g})")
+        if self.A is None:
+            return 0.0, 0.0
+        a11, a12, a21, a22 = self.A
+        ay1, ay2 = a11 * y1 + a12 * y2, a21 * y1 + a22 * y2
+        s1, s2 = 0.5 * (ay1 - (y1 * a11 + y2 * a21)), 0.5 * (ay2 - (y1 * a12 + y2 * a22))
+        b1, b2 = v1 / c, v2 / c
+        s = yv / (c * ny)
+        den_q, den_psi = 1.0 - 2.0 * s, 1.0 + 2.0 * (b1 * b1 + b2 * b2) - 3.0 * s
+        if den_q == 0.0 or den_psi == 0.0:
+            raise OutOfDomainError("a shot stage sits on a pole of the spray")
+        q, psi, t = 1.0 / den_q, 1.0 / den_psi, 0.5 * (1.0 - 4.0 * s) / ny
+        k = ((y1 * ay1 + y2 * ay2) - 2.0 * q * ny * (b1 * s1 + b2 * s2)) * psi
+        return -2.0 * (ny * q * s1 + k * (b1 + t * y1)), -2.0 * (ny * q * s2 + k * (b2 + t * y2))
+
+    def step(self, z, h: float) -> tuple:
+        """One classical RK4 step of ``(x, y)' = (y, -2 G)``, ordered like :func:`parnav.geodesics._rk4_step`."""
+        x1, x2, y1, y2 = z
+        hh = 0.5 * h
+        p1, p2 = self.accel(x1, x2, y1, y2)
+        u1, u2 = y1 + hh * p1, y2 + hh * p2
+        q1, q2 = self.accel(x1 + hh * y1, x2 + hh * y2, u1, u2)
+        v1, v2 = y1 + hh * q1, y2 + hh * q2
+        r1, r2 = self.accel(x1 + hh * u1, x2 + hh * u2, v1, v2)
+        w1, w2 = y1 + h * r1, y2 + h * r2
+        s1, s2 = self.accel(x1 + h * v1, x2 + h * v2, w1, w2)
+        k = h / 6.0
+        return (x1 + k * (y1 + 2.0 * u1 + 2.0 * v1 + w1), x2 + k * (y2 + 2.0 * u2 + 2.0 * v2 + w2),
+                y1 + k * (p1 + 2.0 * q1 + 2.0 * r1 + s1), y2 + k * (p2 + 2.0 * q2 + 2.0 * r2 + s2))
+
+
 @dataclass(frozen=True)
 class _Shot:
-    """One geodesic shot: states ``(x, y)`` until radial turnaround, plus diagnostics."""
+    """One geodesic shot: states ``(x1, x2, y1, y2)`` until radial turnaround, plus diagnostics."""
 
     times: list
     states: list
@@ -267,22 +329,24 @@ class _Shot:
     hit: bool
 
 
-def _range_after(f, za: np.ndarray, tau: float) -> float:
+def _range_after(flow: _PlanarFlow, za: tuple, tau: float) -> float:
     """Range ``|x|`` after an RK4 step of length ``tau`` from the anchor state ``za``."""
-    x = za[0] if tau == 0.0 else _rk4_step(f, za, tau)[0]
-    return float(np.linalg.norm(x))
+    x1, x2, _, _ = za if tau == 0.0 else flow.step(za, tau)
+    return math.sqrt(x1 * x1 + x2 * x2)
 
 
-def _shoot(metric: NavMetric, f, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
+def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
+    """Fire the unit-F geodesic from ``x0`` at angle ``phi`` on ``flow``, ``metric``'s planar flow (2-d constant
+    or linear field), until it recedes; None if a stage leaves the domain or ``n_max`` steps do not get there."""
     u = np.array([math.cos(phi), math.sin(phi)])
     try:
-        z = np.array((x0, metric.unit_vector(x0, u)))
+        z = (*x0.tolist(), *metric.unit_vector(x0, u).tolist())
         times, states = [0.0], [z]
         for k in range(n_max):
-            z = _rk4_step(f, z, step)
+            z = flow.step(z, step)
             times.append((k + 1) * step)
             states.append(z)
-            if float(z[0] @ z[1]) >= 0.0:  # radially receding: closest approach is bracketed
+            if z[0] * z[2] + z[1] * z[3] >= 0.0:  # radially receding: closest approach is bracketed
                 break
         else:
             return None
@@ -291,20 +355,20 @@ def _shoot(metric: NavMetric, f, x0: np.ndarray, phi: float, step: float, n_max:
 
     # refine the closest approach inside the last step
     za = states[-2]
-    tau_star = float(_golden_max(lambda tau: -_range_after(f, za, float(tau)), 0.0, step, 1e-12 * step)[0])
-    x_star, y_star = _rk4_step(f, za, tau_star) if tau_star > 0.0 else za
-    vdir = y_star / np.linalg.norm(y_star)
-    miss = float(x_star[0] * vdir[1] - x_star[1] * vdir[0])
-    return _Shot(times, states, miss, tau_star, float(np.linalg.norm(x_star)) <= eps)
+    tau_star = float(_golden_max(lambda tau: -_range_after(flow, za, float(tau)), 0.0, step, 1e-12 * step)[0])
+    x1, x2, y1, y2 = flow.step(za, tau_star) if tau_star > 0.0 else za
+    ny = math.sqrt(y1 * y1 + y2 * y2)
+    miss = x1 * (y2 / ny) - x2 * (y1 / ny)
+    return _Shot(times, states, miss, tau_star, math.sqrt(x1 * x1 + x2 * x2) <= eps)
 
 
-def _truncate_at_contact(metric: NavMetric, f, shot: _Shot, eps: float, step: float) -> CurveRecord:
+def _truncate_at_contact(metric: NavMetric, flow, shot: _Shot, eps: float, step: float) -> CurveRecord:
     """Cut a hitting shot at the earliest point with ``|x| = hit radius``.
 
     Bisects on the approach flank, where the range is monotone, so the
     terminal node lands on the sphere from outside.
     """
-    norms = [float(np.linalg.norm(z[0])) for z in shot.states]
+    norms = [_range_after(flow, z, 0.0) for z in shot.states]
     j = next((k for k, d in enumerate(norms) if d <= eps), None)
     if j == 0:
         raise InvalidInputError("course starts inside the hit sphere")
@@ -317,17 +381,17 @@ def _truncate_at_contact(metric: NavMetric, f, shot: _Shot, eps: float, step: fl
         hi = shot.times[j] - shot.times[j - 1]
     za, ta, lo = shot.states[j - 1], shot.times[j - 1], 0.0
 
-    if _range_after(f, za, hi) > eps:
+    if _range_after(flow, za, hi) > eps:
         raise ConvergenceError("failed to bracket the hit-sphere crossing")
     tol = 1e-12 * step
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _range_after(f, za, mid) <= eps:
+        if _range_after(flow, za, mid) <= eps:
             hi = mid
         else:
             lo = mid
-    states = shot.states[:j] + [_rk4_step(f, za, hi)]
-    return _curve_from_states(metric, np.asarray(shot.times[:j] + [ta + hi]), states)
+    Z = np.array(shot.states[:j] + [flow.step(za, hi)])
+    return curve_from_arrays(metric, shot.times[:j] + [ta + hi], Z[:, :2].copy(), Z[:, 2:].copy())
 
 
 def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: float) -> float:
@@ -359,7 +423,7 @@ def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: fl
     return phi_b - m_b * (phi_b - phi_a) / (m_b - m_a)
 
 
-def _hitting_shot(metric: NavMetric, f, x0: np.ndarray, eps: float, step: float, n_max: int) -> _Shot:
+def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: float, n_max: int) -> _Shot:
     """Shoot on the launch angle until a geodesic enters the hit sphere.
 
     The first shot aims at the origin; each later angle comes from the
@@ -380,7 +444,7 @@ def _hitting_shot(metric: NavMetric, f, x0: np.ndarray, eps: float, step: float,
     phi = phi_aim
     for _ in range(_MAX_SHOTS):
         fired.add(phi)
-        s = _shoot(metric, f, x0, phi, step, n_max, eps)
+        s = _shoot(metric, flow, x0, phi, step, n_max, eps)
         if s is not None:
             if s.hit:
                 return s
@@ -418,7 +482,9 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     enters the hit sphere (see :func:`_hitting_shot`).  ``field``
     overrides the target velocity field (defaults to the scenario's
     constant program); non-constant programs require an explicit field.
-    ``step`` must be positive and finite.
+    Shots take 2-d constant and linear fields, or 3-d constant ones projected
+    into the engagement plane; others raise :class:`InvalidInputError`, as does
+    a ``step`` not positive and finite or over the step budget (1e7 a shot).
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -438,6 +504,7 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
         x0 = -scenario.r0.astype(float)
 
     metric = NavMetric(NavMetricParams(scenario.v_m, 0.0), field)
+    flow = _PlanarFlow(metric)
     eps = scenario.hit_radius
 
     if isinstance(field, ConstantField) and not metric.value(x0, -x0).in_domain:
@@ -445,17 +512,18 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
 
     # time scale: metric length of the straight chord to the origin
     t_hat = metric.F(x0, -x0)
+    if step is None:
+        step = t_hat / 512.0
+    horizon_steps = _HORIZON_FACTOR * t_hat / step
+    if horizon_steps > _MAX_STEPS:  # every shot keeps its states
+        raise InvalidInputError(f"step {step!r} lets a shot exceed the step budget of {_MAX_STEPS:.3g}")
     if isinstance(field, ConstantField):  # the chord is the course: its arrival time is known before any shot
         range0 = float(np.linalg.norm(x0))
         _require_arrival(t_hat * (range0 - eps) / range0, scenario.t_max)
-    if step is None:
-        step = t_hat / 512.0
-    n_max = int(math.ceil(_HORIZON_FACTOR * t_hat / step))
+    n_max = int(math.ceil(horizon_steps))
 
-    # the spray is this module's name, so wrappers on parnav.optimal (perfbench's tracer) see every call
-    f = _geodesic_field(metric, spray_coefficients)
-    shot = _hitting_shot(metric, f, x0, eps, step, n_max)
-    curve = _truncate_at_contact(metric, f, shot, eps, step)
+    shot = _hitting_shot(metric, flow, x0, eps, step, n_max)
+    curve = _truncate_at_contact(metric, flow, shot, eps, step)
     _require_arrival(float(curve.times[-1]), scenario.t_max)
     if basis is None:
         return curve

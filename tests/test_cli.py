@@ -258,6 +258,20 @@ def test_solver_step_must_be_positive_and_finite(tmp_path, capsys, mode, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
+def test_solver_step_over_the_step_budget_exits_2_before_any_shot(tmp_path, monkeypatch, capsys, mode):
+    def no_shot(*args):
+        raise AssertionError("a geodesic was shot")
+
+    monkeypatch.setattr(optimal, "_shoot", no_shot)
+    path = write_scenario(tmp_path, scenario_doc())
+    out = tmp_path / "x.out"
+    code = cli.main([mode, str(path), "--out", str(out), "--step", "1e-7", "--quiet"])
+    assert code == 2
+    assert "step budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pmp_check_report(tmp_path):
     path = write_scenario(tmp_path, scenario_doc())
     out = tmp_path / "report.json"

@@ -276,6 +276,5 @@ def test_as_field_coercions():
     np.testing.assert_allclose(f(np.zeros(2)), [1.0, 2.0])
     g = as_field(ConstantField([0.0, 1.0]))
     assert isinstance(g, ConstantField)
-    h = as_field(lambda x: np.array([x[1], 0.0]), dim=2)
-    np.testing.assert_allclose(h(np.array([5.0, 7.0])), [7.0, 0.0])
-    np.testing.assert_allclose(h.many(np.array([[1.0, 2.0], [3.0, 4.0]])), [[2.0, 0.0], [4.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="not a callable"):
+        as_field(lambda x: np.array([x[1], 0.0]))
