@@ -3,9 +3,10 @@
 The package is organized by layer:
 
 - :mod:`parnav.metric`: the navigation metric, its domain, closed-form
-  spray, fundamental tensor, and alpha-beta cross-checks;
-- :mod:`parnav.geodesics`: sprays, the Berwald connection, geodesic
-  integration, action integrals, Euler-Lagrange residuals;
+  gradients, fundamental tensor, and alpha-beta cross-checks;
+- :mod:`parnav.geodesics`: the one planar geodesic flow (closed-form
+  spray and RK4 step), the Berwald connection, geodesic integration,
+  action integrals, Euler-Lagrange residuals;
 - :mod:`parnav.kinematics`: engagement simulation under the
   parallel-navigation law, reparametrization, diagnostics;
 - :mod:`parnav.optimal`: Pontryagin-style optimality certificates,
@@ -64,8 +65,6 @@ from .optimal import (
     InterceptSolution,
     MonotonicityReport,
     OptimalityReport,
-    PMPState,
-    hamiltonian,
     lengths_over_lead_angles,
     maximized_hamiltonian,
     monotonicity_check,

@@ -1,18 +1,14 @@
-"""Geodesic flow of the navigation metric.
+"""The one planar geodesic flow of the navigation metric.
 
-Everything here works with a metric object exposing ``F_many``,
-``gradients_many`` and ``spray_many`` (see :mod:`parnav.metric`).  The
-spray coefficients ``G^i = 1/4 g^{il} (d2E/(dy^l dx^k) y^k - dE/dx^l)``,
-``E = F^2``, drive the geodesic equation ``x'' = -2 G(x, x')``; they and
-the Euler-Lagrange residual's partials of ``F`` are closed forms.  The
-Berwald connection ``G^i_jk`` is a finite-difference stencil on the spray
-(:mod:`parnav.numdiff`).
-
-Every numpy RK4 integration in the package takes its steps with
-:func:`_rk4_step`: geodesics integrated over a horizon step the state
-``z = (x, y)`` through the first-order field of :func:`_geodesic_field`.
-The shooter in :mod:`parnav.optimal`, like the simulator core in
-:mod:`parnav.kinematics`, keeps its own float-only stages.
+Every geodesic the package builds is planar: :class:`_PlanarFlow` holds a
+2-d constant or linear field as floats and gives the geodesic
+acceleration ``-2 G(x, y)``, Chern-Shen's closed-form spray, and one
+classical RK4 step on states ``(x1, x2, y1, y2)``.  The shooter in
+:mod:`parnav.optimal` and :func:`integrate_geodesic` march the same
+step; :func:`spray_coefficients` is ``-accel / 2`` and the Berwald
+connection ``G^i_jk`` is a 4th-order stencil on it.  Any other field
+raises :class:`InvalidInputError`.  The Euler-Lagrange residual's
+partials of ``F`` are closed forms of the metric (``gradients_many``).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, OutOfDomainError, PartialCurveError
-from . import numdiff
+from .metric import ConstantField, LinearField
 
 __all__ = [
     "CurveRecord",
@@ -88,36 +84,148 @@ def curve_from_arrays(metric, times, positions, velocities) -> CurveRecord:
     return CurveRecord(np.asarray(times, dtype=float), positions, velocities, F_values)
 
 
+class _PlanarFlow:
+    """The geodesic flow of a planar navigation metric, on Python floats.
+
+    ``F`` is ``1/c`` (``c = v_M cos delta``) times the Matsumoto metric
+    ``alpha phi(beta/alpha)``, ``phi(s) = 1/(1 - s)``, with ``alpha = |y|``,
+    ``beta = <b, y>`` and ``b = v_T(x)/c``; a constant factor leaves the
+    spray alone.  For Euclidean alpha, Chern & Shen (*Riemann-Finsler
+    Geometry*, 2005) give, with ``s = beta/alpha``,
+
+        G^i = alpha Q s^i_0 + (r_00 - 2 Q alpha s_0) (Psi b^i + Theta y^i / alpha),
+        Q = 1/(1 - 2s),  Psi = 1/(1 + 2|b|^2 - 3s),  Theta = (1 - 4s)/(2(1 + 2|b|^2 - 3s)),
+
+    where ``r_ij`` and ``s_ij`` are the symmetric and skew parts of
+    ``db_i/dx^j`` (the field gradient over ``c``), ``s^i_0 = s_ij y^j``,
+    ``s_0 = b^i s_ij y^j`` and ``r_00 = r_ij y^i y^j``; a constant field has
+    zero spray.  A one-row numpy evaluation costs about ten times these
+    float stages (the simulator's :class:`parnav.kinematics._PlanarCore` is
+    float-only for the same reason).  Every stage is gated:
+    :class:`OutOfDomainError` where ``c|y| - <y, v_T>`` is not positive (or
+    NaN) or ``1 - 2s`` or ``1 + 2|b|^2 - 3s`` is zero, a pole of the spray;
+    :class:`InvalidInputError` at ``y = 0``.
+    """
+
+    def __init__(self, metric):
+        field = metric.field
+        if not isinstance(field, (ConstantField, LinearField)) or field.dim != 2:
+            raise InvalidInputError("the geodesic flow needs a 2-d constant or linear field")
+        self.c = metric.params.v_m * metric.params.cos_delta
+        self.base = (field.value if isinstance(field, ConstantField) else field.base).tolist()
+        self.grad = self.A = None  # dv_T/dx and db/dx = (dv_T/dx)/c, row-major, of a linear field
+        if isinstance(field, LinearField):
+            self.grad, self.A = field.gradient.ravel().tolist(), (field.gradient / self.c).ravel().tolist()
+
+    def accel(self, x1, x2, y1, y2) -> tuple[float, float]:
+        """``-2 G(x, y)``, zero in a constant field."""
+        ny = math.sqrt(y1 * y1 + y2 * y2)
+        if ny == 0.0:
+            raise InvalidInputError("metric is undefined at the zero velocity")
+        c, (v1, v2), g = self.c, self.base, self.grad
+        if g is not None:
+            v1, v2 = v1 + (g[0] * x1 + g[1] * x2), v2 + (g[2] * x1 + g[3] * x2)
+        yv = y1 * v1 + y2 * v2
+        den = c * ny - yv
+        if not den > 0.0:
+            raise OutOfDomainError(f"a geodesic stage does not close on the target (denominator {den:.6g})")
+        if self.A is None:
+            return 0.0, 0.0
+        a11, a12, a21, a22 = self.A
+        ay1, ay2 = a11 * y1 + a12 * y2, a21 * y1 + a22 * y2
+        s1, s2 = 0.5 * (ay1 - (y1 * a11 + y2 * a21)), 0.5 * (ay2 - (y1 * a12 + y2 * a22))
+        b1, b2 = v1 / c, v2 / c
+        s = yv / (c * ny)
+        den_q, den_psi = 1.0 - 2.0 * s, 1.0 + 2.0 * (b1 * b1 + b2 * b2) - 3.0 * s
+        if den_q == 0.0 or den_psi == 0.0:
+            raise OutOfDomainError("a geodesic stage sits on a pole of the spray")
+        q, psi, t = 1.0 / den_q, 1.0 / den_psi, 0.5 * (1.0 - 4.0 * s) / ny
+        k = ((y1 * ay1 + y2 * ay2) - 2.0 * q * ny * (b1 * s1 + b2 * s2)) * psi
+        return -2.0 * (ny * q * s1 + k * (b1 + t * y1)), -2.0 * (ny * q * s2 + k * (b2 + t * y2))
+
+    def step(self, z, h: float) -> tuple:
+        """One classical RK4 step of ``(x, y)' = (y, -2 G)`` from ``z = (x1, x2, y1, y2)``."""
+        x1, x2, y1, y2 = z
+        hh = 0.5 * h
+        p1, p2 = self.accel(x1, x2, y1, y2)
+        u1, u2 = y1 + hh * p1, y2 + hh * p2
+        q1, q2 = self.accel(x1 + hh * y1, x2 + hh * y2, u1, u2)
+        v1, v2 = y1 + hh * q1, y2 + hh * q2
+        r1, r2 = self.accel(x1 + hh * u1, x2 + hh * u2, v1, v2)
+        w1, w2 = y1 + h * r1, y2 + h * r2
+        s1, s2 = self.accel(x1 + h * v1, x2 + h * v2, w1, w2)
+        k = h / 6.0
+        return (x1 + k * (y1 + 2.0 * u1 + 2.0 * v1 + w1), x2 + k * (y2 + 2.0 * u2 + 2.0 * v2 + w2),
+                y1 + k * (p1 + 2.0 * q1 + 2.0 * r1 + s1), y2 + k * (p2 + 2.0 * q2 + 2.0 * r2 + s2))
+
+
+def _flow_curve(metric, times, states) -> CurveRecord:
+    """:func:`curve_from_arrays` on a list of flow states ``(x1, x2, y1, y2)``."""
+    Z = np.array(states)
+    return curve_from_arrays(metric, times, Z[:, :2].copy(), Z[:, 2:].copy())
+
+
+def _planar_vector(v, name: str) -> list:
+    """``v`` as a list of two finite floats, or :class:`InvalidInputError`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (2,) or not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{name} must be a finite 2-vector")
+    return v.tolist()
+
+
 def spray_coefficients(metric, x, y) -> np.ndarray:
-    """Geodesic spray ``G^i(x, y)``: the 1-row call of ``metric.spray_many``."""
-    return metric.spray_many(np.asarray(x, dtype=float)[None, :], np.asarray(y, dtype=float)[None, :])[0]
+    """Geodesic spray ``G^i(x, y)``: ``-1/2`` the acceleration of the metric's :class:`_PlanarFlow`."""
+    a1, a2 = _PlanarFlow(metric).accel(*_planar_vector(x, "x"), *_planar_vector(y, "y"))
+    return np.array([-0.5 * a1, -0.5 * a2])
+
+
+# Directional step, relative to |y|, of the Berwald stencil; the 5-point,
+# 4th-order second-derivative weights on the offsets (-2, -1, 0, 1, 2) h.
+_BERWALD_REL = 5e-2
+_C5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
+_O5 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+def _directional_second(f, y: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
+    """4th-order second derivative of a vector map along direction ``u``.
+
+    Evaluates ``f`` at the five points ``y + k*h*u`` for ``k`` in
+    ``(-2..2)`` and combines with the standard (-1, 16, -30, 16, -1)/12
+    weights.  ``f`` may return an array of any shape.
+    """
+    acc = None
+    for c, k in zip(_C5, _O5):
+        term = c * np.asarray(f(y + k * h * u))
+        acc = term if acc is None else acc + term
+    return acc / (h * h)
 
 
 def berwald_coefficients(metric, x, y) -> np.ndarray:
     """Berwald connection ``B[i, j, k] = d2 G^i / (dy^j dy^k)``.
 
-    Diagonal blocks come from a 4th-order directional stencil along each
-    axis; off-diagonal blocks use the polarization identity along the
-    ``e_j + e_k`` and ``e_j - e_k`` diagonals, which keeps the result
-    exactly symmetric in its lower indices.
+    Diagonal blocks come from a 4th-order directional stencil on the
+    spray of one :class:`_PlanarFlow` along each axis; off-diagonal blocks
+    use the polarization identity along the ``e_j + e_k`` and ``e_j - e_k``
+    diagonals, which keeps the result exactly symmetric in its lower indices.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    flow = _PlanarFlow(metric)
+    x1, x2 = _planar_vector(x, "x")
+    y = np.array(_planar_vector(y, "y"))
     n = y.size
-    h = numdiff.BERWALD_REL * float(np.linalg.norm(y))
+    h = _BERWALD_REL * float(np.linalg.norm(y))
 
     def G(yy: np.ndarray) -> np.ndarray:
-        return spray_coefficients(metric, x, yy)
+        return -0.5 * np.array(flow.accel(x1, x2, *yy.tolist()))
 
     B = np.empty((n, n, n))
     eye = np.eye(n)
     for j in range(n):
-        B[:, j, j] = numdiff.directional_second(G, y, eye[j], h)
+        B[:, j, j] = _directional_second(G, y, eye[j], h)
     hd = h / math.sqrt(2.0)
     for j in range(n):
         for k in range(j + 1, n):
-            plus = numdiff.directional_second(G, y, eye[j] + eye[k], hd)
-            minus = numdiff.directional_second(G, y, eye[j] - eye[k], hd)
+            plus = _directional_second(G, y, eye[j] + eye[k], hd)
+            minus = _directional_second(G, y, eye[j] - eye[k], hd)
             B[:, j, k] = B[:, k, j] = 0.25 * (plus - minus)
     return B
 
@@ -149,33 +257,14 @@ def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) ->
     return out
 
 
-def _rk4_step(f, z, h: float) -> np.ndarray:
-    """One classical RK4 step of ``z' = f(z)``."""
-    k1 = f(z)
-    k2 = f(z + 0.5 * h * k1)
-    k3 = f(z + 0.5 * h * k2)
-    k4 = f(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _geodesic_field(metric):
-    """``z = (x, y) -> (y, -2 G(x, y))``, the geodesic equation as a first-order field on ``(2, n)`` arrays."""
-    return lambda z: np.array((z[1], -2.0 * spray_coefficients(metric, z[0], z[1])))
-
-
-def _curve_from_states(metric, times, states) -> CurveRecord:
-    """:func:`curve_from_arrays` on a list of ``(2, n)`` states ``(x, y)``."""
-    Z = np.array(states)
-    return curve_from_arrays(metric, times, Z[:, 0].copy(), Z[:, 1].copy())
-
-
 def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> CurveRecord:
-    """Integrate ``x'' = -2 G(x, x')`` with classical RK4.
+    """Integrate ``x'' = -2 G(x, x')`` with classical RK4 on the metric's :class:`_PlanarFlow`.
 
-    ``horizon`` and ``step`` must be positive and finite, and ``horizon``
-    an integer multiple of ``step`` (to 1e-9 relative).  If any RK4 stage
-    needs the metric outside its domain, a :class:`PartialCurveError`
-    carrying the completed prefix is raised.
+    ``x0`` and ``y0`` must be finite 2-vectors, ``horizon`` and ``step``
+    positive and finite, and ``horizon`` an integer multiple of ``step``
+    (to 1e-9 relative).  If any RK4 stage needs the metric outside its
+    domain, a :class:`PartialCurveError` carrying the completed prefix is
+    raised.
     """
     if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
         raise InvalidInputError("horizon and step must be positive and finite")
@@ -183,20 +272,20 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
     if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
         raise InvalidInputError("horizon must be an integer multiple of step")
 
-    f = _geodesic_field(metric)
-    states = [np.array((x0, y0), dtype=float)]
+    flow = _PlanarFlow(metric)
+    states = [(*_planar_vector(x0, "x0"), *_planar_vector(y0, "y0"))]
     for k in range(n_steps):
         try:
-            states.append(_rk4_step(f, states[-1], step))
+            states.append(flow.step(states[-1], step))
         except OutOfDomainError as exc:
-            partial = _curve_from_states(metric, np.arange(k + 1) * step, states) if k >= 1 else None
+            partial = _flow_curve(metric, np.arange(k + 1) * step, states) if k >= 1 else None
             raise PartialCurveError(
                 f"geodesic left the metric domain during step {k} (t = {k * step:.6g})",
                 partial=partial,
             ) from exc
 
     try:
-        return _curve_from_states(metric, np.arange(n_steps + 1) * step, states)
+        return _flow_curve(metric, np.arange(n_steps + 1) * step, states)
     except OutOfDomainError as exc:  # final node slipped out between stages
         raise PartialCurveError("geodesic endpoint left the metric domain", partial=None) from exc
 

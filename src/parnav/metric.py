@@ -211,41 +211,6 @@ class NavMetric:
         _require_closing(den)
         return f
 
-    def spray_many(self, X, Y) -> np.ndarray:
-        """Row-wise geodesic spray ``G^i(x, y)`` in closed form (geodesics solve ``x'' = -2 G``).
-
-        ``F`` is ``1/c`` (``c = v_M cos delta``) times the Matsumoto metric
-        ``alpha phi(beta/alpha)``, ``phi(s) = 1/(1 - s)``, with ``alpha = |y|``,
-        ``beta = <b, y>`` and ``b = v_T(x)/c``; a constant factor leaves the
-        spray alone.  For Euclidean alpha, Chern & Shen (*Riemann-Finsler
-        Geometry*, 2005) give, with ``s = beta/alpha``,
-
-            G^i = alpha Q s^i_0 + (r_00 - 2 Q alpha s_0) (Psi b^i + Theta y^i / alpha),
-            Q = 1/(1 - 2s),  Psi = 1/(1 + 2|b|^2 - 3s),  Theta = (1 - 4s)/(2(1 + 2|b|^2 - 3s)),
-
-        where ``r_ij`` and ``s_ij`` are the symmetric and skew parts of
-        ``db_i/dx^j`` (the field Jacobian over ``c``), ``s^i_0 = s_ij y^j``,
-        ``s_0 = b^i s_ij y^j`` and ``r_00 = r_ij y^i y^j``.  Rows outside the
-        domain raise as in :meth:`F_many`; a field without a Jacobian gives zeros.
-        """
-        Y, ny, yv, V = self._closing_terms(X, Y)
-        c = self.params.v_m * self.params.cos_delta
-        _require_closing(c * ny - yv)
-        J = self.field.jacobian(X)
-        if J is None:
-            return np.zeros_like(Y)
-        A = J / c  # db_i/dx^j
-        Ay = (A @ Y[:, :, None])[:, :, 0]
-        s_i0 = 0.5 * (Ay - (Y[:, None, :] @ A)[:, 0, :])
-        b = V / c
-        s = yv / (c * ny)
-        Q = 1.0 / (1.0 - 2.0 * s)
-        r_00 = np.einsum("ij,ij->i", Y, Ay)
-        s_0 = np.einsum("ij,ij->i", b, s_i0)
-        Psi = 1.0 / (1.0 + 2.0 * np.einsum("ij,ij->i", b, b) - 3.0 * s)
-        k = (r_00 - 2.0 * Q * ny * s_0) * Psi  # Theta = (1 - 4s) Psi / 2
-        return (ny * Q)[:, None] * s_i0 + k[:, None] * (b + (0.5 * (1.0 - 4.0 * s) / ny)[:, None] * Y)
-
     def _velocity_gradient(self, X, Y, delta=None):
         """Row-wise ``(Y, |y|, F, dF/dy, D, w)`` behind :meth:`gradients_many`."""
         Y, ny, yv, V = self._closing_terms(X, Y)

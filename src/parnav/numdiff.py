@@ -1,10 +1,10 @@
-"""Finite-difference backend for metric derivatives.
+"""Finite-difference stencils of a batched energy, the oracles for closed forms.
 
 The spray, ``F``'s gradients and the fundamental tensor are closed forms
-of the metric.  The package still differences the Berwald stencil
-(:func:`directional_second`); the energy stencils take a *batched*
-``energy_many(X, Y) -> (m,)`` (e.g. ``F(x_i, y_i)**2`` row-wise) and
-serve the tests as closed-form oracles.
+in the package, and no module of it calls these stencils: they take a
+*batched* ``energy_many(X, Y) -> (m,)`` (e.g. ``F(x_i, y_i)**2``
+row-wise) and serve the tests as oracles for those closed forms.
+Importing :mod:`parnav` does not load this module.
 
 Step sizes are relative.  Velocity-slot steps scale with ``|y|`` (the
 energy is 2-homogeneous in ``y``, so the natural length scale is the
@@ -12,9 +12,9 @@ point itself); position-slot steps scale with ``1 + |x|`` so they stay
 sane near the origin.  The defaults below were chosen by measuring the
 Euler-identity defect ``g_ij y^i y^j - F^2`` across the working range of
 magnitudes: ``1e-4 * |y|`` keeps it near 1e-7 even for ``|y| ~ 1e3``,
-while much smaller steps drown in roundoff.  The position-slot and
-Berwald constants are deliberately coarser because those quantities get
-second-differenced again downstream, amplifying noise by ``4 / h^2``.
+while much smaller steps drown in roundoff.  The position-slot constant
+is deliberately coarser because the mixed stencil built on it gets
+second-differenced, amplifying noise by ``4 / h^2``.
 """
 
 from __future__ import annotations
@@ -26,26 +26,18 @@ import numpy as np
 __all__ = [
     "H_REL_Y",
     "H_REL_X",
-    "BERWALD_REL",
     "y_gradient",
     "y_hessian",
     "x_gradient",
     "xy_mixed",
-    "directional_second",
 ]
 
 # Velocity-slot step for gradients/Hessians of the energy.
 H_REL_Y = 1e-4
 # Position-slot step for energy x-gradients; xy_mixed uses it in both slots.
 H_REL_X = 1e-3
-# Directional step for second y-derivatives of the spray (4th-order stencil).
-BERWALD_REL = 5e-2
 
 EnergyMany = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-# 5-point, 4th-order second-derivative stencil on offsets (-2,-1,0,1,2)*h.
-_C5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_O5 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _y_step(y: np.ndarray, h: float | None, rel: float) -> float:
@@ -117,19 +109,3 @@ def xy_mixed(
     vals = energy_many(X, Y).reshape(2, 2, n, n)
     mixed_kl = (vals[0, 0] - vals[0, 1] - vals[1, 0] + vals[1, 1]) / (4.0 * hx * hy)
     return mixed_kl.T  # -> [l, k]
-
-
-def directional_second(
-    f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, u: np.ndarray, h: float
-) -> np.ndarray:
-    """4th-order second derivative of a vector map along direction ``u``.
-
-    Evaluates ``f`` at the five points ``y + k*h*u`` for ``k`` in
-    ``(-2..2)`` and combines with the standard (-1, 16, -30, 16, -1)/12
-    weights.  ``f`` may return an array of any shape.
-    """
-    acc = None
-    for c, k in zip(_C5, _O5):
-        term = c * np.asarray(f(y + k * h * u))
-        acc = term if acc is None else acc + term
-    return acc / (h * h)

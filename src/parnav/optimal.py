@@ -31,21 +31,20 @@ from .errors import (
 )
 from .geodesics import (
     CurveRecord,
+    _PlanarFlow,
     _covariant_rate,
+    _flow_curve,
     _trapezoid,
-    curve_from_arrays,
     euler_lagrange_residual,
     spray_coefficients,
 )
 from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
-from .metric import ConstantField, LinearField, NavMetric, NavMetricParams
+from .metric import ConstantField, NavMetric, NavMetricParams
 
 __all__ = [
-    "PMPState",
     "OptimalityReport",
     "MonotonicityReport",
     "InterceptSolution",
-    "hamiltonian",
     "maximized_hamiltonian",
     "pmp_check",
     "optimal_trajectory",
@@ -62,22 +61,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _HORIZON_FACTOR = 3.0
 _FAN_STEP = 0.05
 _MAX_SHOTS = 80
-
-
-@dataclass(frozen=True)
-class PMPState:
-    """Course point, costate, and control for Hamiltonian evaluations."""
-
-    r: np.ndarray
-    p: np.ndarray
-    delta: float = 0.0
-
-
-def hamiltonian(metric: NavMetric, state: PMPState, velocity) -> float:
-    """``<p, v> - F_delta(r, v)`` at the state's control."""
-    v = np.asarray(velocity, dtype=float)
-    m = metric.with_delta(state.delta)
-    return float(state.p @ v) - m.F(state.r, v)
 
 
 def _golden_max(f, a, b, tol: float):
@@ -254,70 +237,6 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
 # ---------------------------------------------------------------------------
 
 
-class _PlanarFlow:
-    """The shooter's stepper: the geodesic flow of a planar metric on Python floats.
-
-    Every shot is planar, and a one-row numpy spray costs about ten times
-    these stages (the simulator's :class:`parnav.kinematics._PlanarCore` is
-    float-only for the same reason).  States are ``(x1, x2, y1, y2)``.
-    Stages are gated like :meth:`NavMetric.spray_many`, plus the spray's
-    poles: :class:`OutOfDomainError` where ``c|y| - <y, v_T>`` is not
-    positive (or NaN) or ``1 - 2s`` or ``1 + 2|b|^2 - 3s`` is zero,
-    :class:`InvalidInputError` at ``y = 0``.
-    """
-
-    def __init__(self, metric: NavMetric):
-        field = metric.field
-        if not isinstance(field, (ConstantField, LinearField)) or field.dim != 2:
-            raise InvalidInputError("geodesic shooting needs a 2-d constant or linear field")
-        self.c = metric.params.v_m * metric.params.cos_delta
-        self.base = (field.value if isinstance(field, ConstantField) else field.base).tolist()
-        self.grad = self.A = None  # dv_T/dx and db/dx = (dv_T/dx)/c, row-major, of a linear field
-        if isinstance(field, LinearField):
-            self.grad, self.A = field.gradient.ravel().tolist(), (field.gradient / self.c).ravel().tolist()
-
-    def accel(self, x1, x2, y1, y2) -> tuple[float, float]:
-        """``-2 G(x, y)`` by :meth:`NavMetric.spray_many`'s formula, in its order (zero in a constant field)."""
-        ny = math.sqrt(y1 * y1 + y2 * y2)
-        if ny == 0.0:
-            raise InvalidInputError("metric is undefined at the zero velocity")
-        c, (v1, v2), g = self.c, self.base, self.grad
-        if g is not None:
-            v1, v2 = v1 + (g[0] * x1 + g[1] * x2), v2 + (g[2] * x1 + g[3] * x2)
-        yv = y1 * v1 + y2 * v2
-        den = c * ny - yv
-        if not den > 0.0:
-            raise OutOfDomainError(f"a shot stage does not close on the target (denominator {den:.6g})")
-        if self.A is None:
-            return 0.0, 0.0
-        a11, a12, a21, a22 = self.A
-        ay1, ay2 = a11 * y1 + a12 * y2, a21 * y1 + a22 * y2
-        s1, s2 = 0.5 * (ay1 - (y1 * a11 + y2 * a21)), 0.5 * (ay2 - (y1 * a12 + y2 * a22))
-        b1, b2 = v1 / c, v2 / c
-        s = yv / (c * ny)
-        den_q, den_psi = 1.0 - 2.0 * s, 1.0 + 2.0 * (b1 * b1 + b2 * b2) - 3.0 * s
-        if den_q == 0.0 or den_psi == 0.0:
-            raise OutOfDomainError("a shot stage sits on a pole of the spray")
-        q, psi, t = 1.0 / den_q, 1.0 / den_psi, 0.5 * (1.0 - 4.0 * s) / ny
-        k = ((y1 * ay1 + y2 * ay2) - 2.0 * q * ny * (b1 * s1 + b2 * s2)) * psi
-        return -2.0 * (ny * q * s1 + k * (b1 + t * y1)), -2.0 * (ny * q * s2 + k * (b2 + t * y2))
-
-    def step(self, z, h: float) -> tuple:
-        """One classical RK4 step of ``(x, y)' = (y, -2 G)``, ordered like :func:`parnav.geodesics._rk4_step`."""
-        x1, x2, y1, y2 = z
-        hh = 0.5 * h
-        p1, p2 = self.accel(x1, x2, y1, y2)
-        u1, u2 = y1 + hh * p1, y2 + hh * p2
-        q1, q2 = self.accel(x1 + hh * y1, x2 + hh * y2, u1, u2)
-        v1, v2 = y1 + hh * q1, y2 + hh * q2
-        r1, r2 = self.accel(x1 + hh * u1, x2 + hh * u2, v1, v2)
-        w1, w2 = y1 + h * r1, y2 + h * r2
-        s1, s2 = self.accel(x1 + h * v1, x2 + h * v2, w1, w2)
-        k = h / 6.0
-        return (x1 + k * (y1 + 2.0 * u1 + 2.0 * v1 + w1), x2 + k * (y2 + 2.0 * u2 + 2.0 * v2 + w2),
-                y1 + k * (p1 + 2.0 * q1 + 2.0 * r1 + s1), y2 + k * (p2 + 2.0 * q2 + 2.0 * r2 + s2))
-
-
 @dataclass(frozen=True)
 class _Shot:
     """One geodesic shot: states ``(x1, x2, y1, y2)`` until radial turnaround, plus diagnostics."""
@@ -390,8 +309,7 @@ def _truncate_at_contact(metric: NavMetric, flow, shot: _Shot, eps: float, step:
             hi = mid
         else:
             lo = mid
-    Z = np.array(shot.states[:j] + [flow.step(za, hi)])
-    return curve_from_arrays(metric, shot.times[:j] + [ta + hi], Z[:, :2].copy(), Z[:, 2:].copy())
+    return _flow_curve(metric, shot.times[:j] + [ta + hi], shot.states[:j] + [flow.step(za, hi)])
 
 
 def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: float) -> float:
@@ -626,6 +544,8 @@ def pursuer_ode_residual(
     if deltas is None:
         deltas = np.zeros(N)
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape != (N,):
+        raise InvalidInputError(f"deltas must hold one lead angle per node: shape ({N},), got {deltas.shape}")
 
     d1 = np.gradient(pursuer_curve.positions, pursuer_curve.times, axis=0, edge_order=2)
     accel = np.gradient(d1, pursuer_curve.times, axis=0, edge_order=2)

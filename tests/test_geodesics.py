@@ -1,4 +1,4 @@
-"""Spray and Berwald coefficients, geodesic integration, action and EL residuals."""
+"""The planar geodesic flow: spray and Berwald coefficients, integration, action and EL residuals."""
 
 import math
 
@@ -23,11 +23,12 @@ from parnav import (
     euler_lagrange_residual,
     integrate_geodesic,
     numdiff,
+    optimal,
     spray_coefficients,
     strong_convexity_margin,
 )
-from parnav.geodesics import _rk4_step
-from parnav.optimal import _PlanarFlow
+from parnav.geodesics import _PlanarFlow
+from tests.reference import rk4_step, spray_many
 
 
 def _fd_spray(metric, x, y):
@@ -111,9 +112,13 @@ SPRAY_REFERENCE = [
 @pytest.mark.parametrize("v_m, delta, base, gradient, x, y, expected", SPRAY_REFERENCE)
 def test_spray_matches_symbolic_reference(v_m, delta, base, gradient, x, y, expected):
     m = NavMetric(NavMetricParams(v_m, delta), LinearField(base, gradient))
-    sprays = [spray_coefficients(m, np.array(x), np.array(y))]
-    if len(x) == 2:  # the shooter's float-only flow is planar; it returns -2 G
-        sprays.append(-0.5 * np.array(_PlanarFlow(m).accel(*x, *y)))
+    # the numpy reference is the float flow's oracle (test_planar_flow_matches_spray_many): pin it too
+    sprays = [spray_many(m, np.array([x]), np.array([y]))[0]]
+    if len(x) == 2:
+        sprays.append(spray_coefficients(m, np.array(x), np.array(y)))
+    else:  # the geodesic flow is planar
+        with pytest.raises(InvalidInputError, match="2-d constant or linear field"):
+            spray_coefficients(m, np.array(x), np.array(y))
     ref = np.array([float(v) for v in expected])
     for G in sprays:
         assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -170,17 +175,16 @@ unit = st.floats(-1.0, 1.0)
 
 @settings(max_examples=40)
 @given(
-    dim=st.sampled_from([2, 3]),
     v_m=st.floats(1.5, 3.0),
     delta=st.floats(-0.6, 0.6),
-    field=st.lists(unit, min_size=12, max_size=12),
-    rows=st.lists(st.lists(unit, min_size=6, max_size=6), min_size=1, max_size=5),
+    field=st.lists(unit, min_size=6, max_size=6),
+    rows=st.lists(st.lists(unit, min_size=4, max_size=4), min_size=1, max_size=5),
 )
-def test_spray_many_rows_match_single_row_and_finite_differences(dim, v_m, delta, field, rows):
-    f = LinearField(0.3 * np.array(field[:dim]), 0.3 * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
+def test_spray_many_rows_match_single_row_and_finite_differences(v_m, delta, field, rows):
+    f = LinearField(0.3 * np.array(field[:2]), 0.3 * np.reshape(field[2:], (2, 2)))
     m = NavMetric(NavMetricParams(v_m, delta), f)
-    X = 2.0 * np.array([r[:dim] for r in rows])
-    Y = 2.0 * np.array([r[3 : 3 + dim] for r in rows])
+    X = 2.0 * np.array([r[:2] for r in rows])
+    Y = 2.0 * np.array([r[2:] for r in rows])
     # keep strongly convex rows: the oracle inverts the fundamental tensor
     keep = [
         k for k in range(len(rows))
@@ -189,13 +193,13 @@ def test_spray_many_rows_match_single_row_and_finite_differences(dim, v_m, delta
     if not keep:
         return
     X, Y = X[keep], Y[keep]
-    G = m.spray_many(X, Y)
     c = v_m * math.cos(delta)
-    for x, y, g in zip(X, Y, G):
-        assert np.array_equal(g, spray_coefficients(m, x, y))
+    for x, y, g in zip(X, Y, spray_many(m, X, Y)):
+        G = spray_coefficients(m, x, y)
         # each term of the closed form is of size |y|^2 |dv_T/dx| / c
-        scale = float(y @ y) * np.linalg.norm(f.gradient) / c
-        assert np.linalg.norm(g - _fd_spray(m, x, y)) <= 1e-4 * max(np.linalg.norm(g), scale)
+        scale = max(np.linalg.norm(g), float(y @ y) * np.linalg.norm(f.gradient) / c)
+        assert np.linalg.norm(G - g) <= 1e-12 * scale
+        assert np.linalg.norm(G - _fd_spray(m, x, y)) <= 1e-4 * scale
 
 
 def test_spray_of_linear_field_calls_no_finite_difference(shear_metric, monkeypatch):
@@ -211,13 +215,20 @@ def test_spray_of_linear_field_calls_no_finite_difference(shear_metric, monkeypa
 
 
 def test_spray_many_gates_the_domain():
+    # the numpy reference raises where the float flow must: its gate is the oracle's
     m = NavMetric(NavMetricParams(1.0, 0.0), LinearField([2.0, 0.0], np.eye(2)))
     with pytest.raises(OutOfDomainError):
-        m.spray_many(np.zeros((2, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        spray_many(m, np.zeros((2, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(InvalidInputError):
-        m.spray_many(np.zeros((1, 2)), np.zeros((1, 2)))
+        spray_many(m, np.zeros((1, 2)), np.zeros((1, 2)))
     flat = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.5, 0.0]))
-    assert np.array_equal(flat.spray_many(np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]])), np.zeros((2, 2)))
+    assert np.array_equal(spray_many(flat, np.ones((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]])), np.zeros((2, 2)))
+    # and so does the package's spray
+    with pytest.raises(OutOfDomainError):
+        spray_coefficients(m, np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(InvalidInputError):
+        spray_coefficients(m, np.zeros(2), np.zeros(2))
+    assert np.array_equal(spray_coefficients(flat, np.ones(2), np.array([0.0, 1.0])), np.zeros(2))
 
 
 def test_berwald_symmetry_and_contraction(shear_metric):
@@ -273,7 +284,7 @@ def test_rk4_step_is_the_fourth_order_taylor_step_on_linear_systems():
 
     hA = h * A
     taylor = z + hA @ z + hA @ hA @ z / 2.0 + hA @ hA @ hA @ z / 6.0 + hA @ hA @ hA @ hA @ z / 24.0
-    np.testing.assert_allclose(_rk4_step(f, z, h), taylor, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(rk4_step(f, z, h), taylor, rtol=0.0, atol=1e-15)
 
 
 def test_integrate_geodesic_short_horizon(shear_metric, shear_start):
@@ -298,6 +309,45 @@ def test_partial_curve_on_domain_exit():
     prefix = integrate_geodesic(m, x0, y0, horizon=2.0, step=0.5)
     np.testing.assert_array_equal(partial.positions, prefix.positions)
     np.testing.assert_array_equal(partial.velocities, prefix.velocities)
+
+
+@pytest.mark.parametrize(
+    "x0, y0",
+    [([math.nan, 0.9], [0.3, -0.2]), ([-1.6, 0.9], [math.inf, -0.2]), ([-1.6, 0.9, 0.0], [0.3, -0.2])],
+)
+def test_integrate_geodesic_rejects_bad_start(shear_metric, x0, y0):
+    with pytest.raises(InvalidInputError, match="finite 2-vector"):
+        integrate_geodesic(shear_metric, x0, y0, horizon=1.0, step=0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, x, y: spray_coefficients(m, x, y),
+        lambda m, x, y: berwald_coefficients(m, x, y),
+        lambda m, x, y: integrate_geodesic(m, x, y, horizon=1.0, step=0.1),
+    ],
+    ids=["spray", "berwald", "integrate"],
+)
+def test_geodesic_flow_takes_only_planar_constant_or_linear_fields(call):
+    m = NavMetric(NavMetricParams(3.0, -0.2), LinearField(*_FIELD3))
+    with pytest.raises(InvalidInputError, match="2-d constant or linear field"):
+        call(m, np.array([0.4, -0.7, 0.9]), np.array([-0.6, 1.0, -0.8]))
+
+
+def test_integrate_geodesic_steps_the_shooters_flow(shear_metric):
+    # one shot of the shear course, aimed at the origin: the same states, bit for bit
+    x0 = np.array([-1.6, 0.9])
+    step = shear_metric.F(x0, -x0) / 512.0
+    flow = _PlanarFlow(shear_metric)
+    shot = optimal._shoot(shear_metric, flow, x0, math.atan2(-x0[1], -x0[0]), step, 2000, 0.05)
+    n = len(shot.states) - 1
+    assert n > 100
+    curve = integrate_geodesic(shear_metric, x0, np.array(shot.states[0][2:]), horizon=n * step, step=step)
+    Z = np.array(shot.states)
+    np.testing.assert_array_equal(curve.times, shot.times)
+    np.testing.assert_array_equal(curve.positions, Z[:, :2])
+    np.testing.assert_array_equal(curve.velocities, Z[:, 2:])
 
 
 def test_action_integral_of_unit_curve_is_elapsed_time(shear_metric, shear_start):

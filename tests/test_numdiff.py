@@ -1,8 +1,12 @@
 """Finite-difference helpers checked against polynomials with exact derivatives."""
 
+import subprocess
+import sys
+
 import numpy as np
 
 from parnav import numdiff
+from parnav.geodesics import _directional_second
 
 
 def _quadratic_energy(A):
@@ -58,7 +62,7 @@ def test_directional_second_on_quartic():
 
     y = np.array([1.0, 0.5])
     u = np.array([1.0, 0.0])
-    d2 = numdiff.directional_second(f, y, u, h=0.05 * np.linalg.norm(y))
+    d2 = _directional_second(f, y, u, h=0.05 * np.linalg.norm(y))
     expected = 4.0 * np.dot(y, y) + 8.0 * y[0] ** 2
     np.testing.assert_allclose(d2, [expected], rtol=1e-8)
 
@@ -70,3 +74,10 @@ def test_relative_steps_track_scale():
     for scale in (1e-2, 1.0, 1e4):
         H = numdiff.y_hessian(E, np.zeros(2), np.array([scale, 0.5 * scale]))
         np.testing.assert_allclose(H, 2.0 * np.eye(2), rtol=1e-6)
+
+
+def test_importing_the_package_loads_no_finite_differences():
+    # a fresh interpreter: this test session has imported numdiff already
+    code = "import sys, parnav, parnav.cli; print('parnav.numdiff' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

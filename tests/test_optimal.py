@@ -1,4 +1,4 @@
-"""Optimality layer: Hamiltonian, certificate, shooting, monotonicity, ODE residual."""
+"""Optimality layer: maximized Hamiltonian, certificate, shooting, monotonicity, ODE residual."""
 
 import math
 
@@ -17,13 +17,11 @@ from parnav import (
     NavMetric,
     NavMetricParams,
     OutOfDomainError,
-    PMPState,
     PiecewiseConstant,
     Scenario,
     UnreachableError,
     curve_from_arrays,
     euler_lagrange_residual,
-    hamiltonian,
     integrate_geodesic,
     lengths_over_lead_angles,
     maximized_hamiltonian,
@@ -36,9 +34,10 @@ from parnav import (
     pursuer_ode_residual,
     simulate,
 )
-from parnav.geodesics import _geodesic_field, _rk4_step
-from parnav.optimal import _PlanarFlow, _maximized_hamiltonians, _next_launch_angle
+from parnav.geodesics import _PlanarFlow
+from parnav.optimal import _maximized_hamiltonians, _next_launch_angle
 from tests.conftest import CLOSING, DELTA0, THETA0
+from tests.reference import geodesic_field, rk4_step, spray_many
 
 
 def _chord_curve(metric, x0, horizon, n):
@@ -47,15 +46,6 @@ def _chord_curve(metric, x0, horizon, n):
     pos = np.asarray(x0, dtype=float)[None, :] + t[:, None] * y0[None, :]
     vel = np.repeat(y0[None, :], n, axis=0)
     return curve_from_arrays(metric, t, pos, vel)
-
-
-def test_hamiltonian_vanishes_on_unit_course():
-    m = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.0, 0.0]))
-    x = np.array([-1.0, 0.0])
-    v = m.unit_vector(x, -x)
-    p = m.fundamental_tensor(x, v) @ v  # canonical momentum of a 1-homogeneous norm
-    h = hamiltonian(m, PMPState(r=x, p=p), v)
-    assert h == pytest.approx(0.0, abs=1e-8)
 
 
 def test_maximized_hamiltonian_prefers_zero_lead(example_metric):
@@ -474,7 +464,7 @@ def test_step_over_the_budget_is_rejected_before_any_shot(example_scenario, monk
         optimal_trajectory(example_scenario, step=step)
 
 
-# --- the shooter's float-only flow ---------------------------------------------------
+# --- the float-only planar geodesic flow --------------------------------------------
 
 
 def _planar_metric(v_m, delta, constant, field):
@@ -502,7 +492,7 @@ def test_planar_flow_matches_spray_many(v_m, delta, constant, field, x, y):
     assume(np.linalg.norm(y) > 1e-3)
     flow = _PlanarFlow(m)
     try:
-        G = m.spray_many(x[None, :], y[None, :])[0]
+        G = spray_many(m, x[None, :], y[None, :])[0]
     except OutOfDomainError:
         with pytest.raises(OutOfDomainError):
             flow.accel(*x, *y)
@@ -527,7 +517,7 @@ def test_planar_rk4_step_matches_the_numpy_stepper(delta, constant, field, x, y,
     m = _planar_metric(2.0, delta, constant, field)
     z = np.array((x, y)) * 2.0
     assume(np.linalg.norm(z[1]) > 1e-3)
-    ref = _rk4_step(_geodesic_field(m), z, h).ravel()
+    ref = rk4_step(geodesic_field(m), z, h).ravel()
     got = np.array(_PlanarFlow(m).step(tuple(z.ravel().tolist()), h))
     # measured worst 1.7e-16 over 3000 uniform draws
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -601,17 +591,21 @@ def test_lengths_over_lead_angles(example_metric):
 # --- second-order pursuit equation ------------------------------------------------
 
 
-def test_pursuer_ode_residual_flat(example_scenario, example_metric):
-    res = simulate(example_scenario)
+def _pursuit_curves(scenario, metric):
+    """Pursuer, target and course curves of a simulated run on every 80th node, and its lead angles."""
+    res = simulate(scenario)
     sl = slice(0, res.n_nodes - 1, 80)
     t = res.times[sl]
-    course = curve_from_arrays(example_metric, t, -res.r[sl], (res.v_m - res.v_t)[sl])
-    pursuer = curve_from_arrays(example_metric, t, res.r_m[sl], res.v_m[sl])
-    target = curve_from_arrays(example_metric, t, res.r_t[sl], res.v_t[sl])
+    course = curve_from_arrays(metric, t, -res.r[sl], (res.v_m - res.v_t)[sl])
+    pursuer = curve_from_arrays(metric, t, res.r_m[sl], res.v_m[sl])
+    target = curve_from_arrays(metric, t, res.r_t[sl], res.v_t[sl])
+    return pursuer, target, course, res.delta[sl]
+
+
+def test_pursuer_ode_residual_flat(example_scenario, example_metric):
+    pursuer, target, course, deltas = _pursuit_curves(example_scenario, example_metric)
     for variant in ("quadratic", "affine"):
-        resid = pursuer_ode_residual(
-            example_metric, pursuer, target, course, deltas=res.delta[sl], variant=variant
-        )
+        resid = pursuer_ode_residual(example_metric, pursuer, target, course, deltas=deltas, variant=variant)
         assert float(np.max(resid)) < 1e-6
 
 
@@ -624,6 +618,14 @@ def test_pursuer_ode_residual_grid_mismatch(example_scenario, example_metric):
     target = curve_from_arrays(example_metric, target_t, res.r_t[10:50], res.v_t[10:50])
     with pytest.raises(InvalidInputError):
         pursuer_ode_residual(example_metric, pursuer, target, course)
+
+
+@pytest.mark.parametrize("keep", [slice(0, 1), slice(0, -1)], ids=["length-1", "length-N-1"])
+def test_pursuer_ode_residual_needs_one_delta_per_node(example_scenario, example_metric, keep):
+    pursuer, target, course, deltas = _pursuit_curves(example_scenario, example_metric)
+    # a single angle must not leave the nodes past the first unwritten
+    with pytest.raises(InvalidInputError, match="one lead angle per node"):
+        pursuer_ode_residual(example_metric, pursuer, target, course, deltas=deltas[keep])
 
 
 # --- closed form -------------------------------------------------------------------
