@@ -217,11 +217,15 @@ def _fstr(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fstr(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
+    """Write ``table`` under ``header``, one row per line, each float as its ``repr``.
+
+    A column calls ``repr`` once per distinct bit pattern, so ``-0.0`` and NaN keep theirs."""
+    cols = []
+    for col in np.ascontiguousarray(table.T, dtype=float):
+        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        cols.append(np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse])
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 
 
 def _jsonable(obj):
@@ -247,34 +251,25 @@ def _axes(dim: int) -> str:
     return "xyz"[:dim]
 
 
-def sim_table(result) -> tuple[list[str], list[list[float]]]:
+def sim_table(result) -> tuple[list[str], np.ndarray]:
     dim = result.r.shape[1]
     tcol = "s" if result.parameter_rate is not None else "t"
     header = [tcol]
     for name in ("r", "rm", "rt", "vm", "vt"):
         header += [f"{name}_{c}" for c in _axes(dim)]
     header += ["lam", "theta", "delta", "F"]
+    cols = [result.times, result.r, result.r_m, result.r_t, result.v_m, result.v_t,
+            result.lam, result.theta, result.delta, result.F]
     if result.parameter_rate is not None:
         header.append("dsdt")
-    rows = []
-    for i in range(result.n_nodes):
-        row = [result.times[i]]
-        for arr in (result.r, result.r_m, result.r_t, result.v_m, result.v_t):
-            row.extend(arr[i])
-        row += [result.lam[i], result.theta[i], result.delta[i], result.F[i]]
-        if result.parameter_rate is not None:
-            row.append(result.parameter_rate[i])
-        rows.append(row)
-    return header, rows
+        cols.append(result.parameter_rate)
+    return header, np.column_stack(cols)
 
 
-def curve_table(curve) -> tuple[list[str], list[list[float]]]:
+def curve_table(curve) -> tuple[list[str], np.ndarray]:
     dim = curve.dim
     header = ["t"] + [f"x_{c}" for c in _axes(dim)] + [f"v_{c}" for c in _axes(dim)] + ["F"]
-    rows = []
-    for i in range(curve.n_nodes):
-        rows.append([curve.times[i], *curve.positions[i], *curve.velocities[i], curve.F_values[i]])
-    return header, rows
+    return header, np.column_stack([curve.times, curve.positions, curve.velocities, curve.F_values])
 
 
 def _write_outputs(args, mode: str, canonical: str, summary: dict, write_table) -> None:
@@ -327,7 +322,7 @@ def _cmd_simulate(args) -> int:
     result = simulate(scenario)
     if args.unit_speed:
         result = reparametrize_unit_F(result)
-    header, rows = sim_table(result)
+    header, table = sim_table(result)
     defect = collinearity_defect(result)
     finite = defect[np.isfinite(defect)]
     summary = {
@@ -338,7 +333,7 @@ def _cmd_simulate(args) -> int:
         "final_range": float(np.linalg.norm(result.r[-1])),
         "max_collinearity_defect": float(np.max(finite)) if finite.size else None,
     }
-    _write_outputs(args, "simulate", canonical, summary, lambda path: write_csv(path, header, rows))
+    _write_outputs(args, "simulate", canonical, summary, lambda path: write_csv(path, header, table))
     if not args.quiet:
         print(f"simulate: {result.termination} at t_f={_fstr(result.t_f)} ({result.n_nodes} nodes)")
     if result.termination == "infeasible-control":
@@ -351,14 +346,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_optimal(args) -> int:
     scenario, metric_cfg, canonical = _load(args)
     curve = optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
-    header, rows = curve_table(curve)
+    header, table = curve_table(curve)
     summary = {
         "t_f": float(curve.times[-1]),
         "n_nodes": curve.n_nodes,
         "final_range": float(np.linalg.norm(curve.positions[-1])),
         "max_unit_defect": float(np.max(np.abs(curve.F_values - 1.0))),
     }
-    _write_outputs(args, "optimal", canonical, summary, lambda path: write_csv(path, header, rows))
+    _write_outputs(args, "optimal", canonical, summary, lambda path: write_csv(path, header, table))
     if not args.quiet:
         print(f"optimal: reached hit sphere at t_f={_fstr(curve.times[-1])} ({curve.n_nodes} nodes)")
     return EXIT_OK

@@ -278,7 +278,10 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
         try:
             states.append(flow.step(states[-1], step))
         except OutOfDomainError as exc:
-            partial = _flow_curve(metric, np.arange(k + 1) * step, states) if k >= 1 else None
+            # a completed step can land outside the domain: keep the leading in-domain nodes
+            Z = np.array(states)
+            n = int(np.cumprod(metric.value_many(Z[:, :2], Z[:, 2:])[1] > 0.0).sum())
+            partial = _flow_curve(metric, np.arange(n) * step, states[:n]) if n >= 2 else None
             raise PartialCurveError(
                 f"geodesic left the metric domain during step {k} (t = {k * step:.6g})",
                 partial=partial,

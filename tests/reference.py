@@ -1,9 +1,14 @@
-"""Numpy references for the package's float-only geodesic flow.
+"""Independent references for the package's fast paths.
 
 ``parnav.geodesics._PlanarFlow`` evaluates the Chern-Shen spray and
 steps RK4 on Python floats.  These are the same formulas written once
 more, batched and in any dimension, so tests can hold the float flow to
 an independent evaluation of each.
+
+``parnav.cli.write_csv`` formats each distinct float of a column once.
+The row-wise tables and writer at the end of this module are the CLI's
+earlier format, one ``repr(float(v))`` per cell, so tests can hold the
+columnar writer to the same bytes.
 """
 
 import numpy as np
@@ -57,3 +62,41 @@ def rk4_step(f, z, h: float) -> np.ndarray:
 def geodesic_field(metric):
     """``z = (x, y) -> (y, -2 G(x, y))`` on ``(2, n)`` arrays, by :func:`spray_many`."""
     return lambda z: np.array((z[1], -2.0 * spray_many(metric, z[0][None, :], z[1][None, :])[0]))
+
+
+def sim_rows(result) -> tuple[list, list]:
+    """Header and per-node rows of a simulation table, in the CLI's column order."""
+    axes = "xyz"[: result.r.shape[1]]
+    header = ["s" if result.parameter_rate is not None else "t"]
+    for name in ("r", "rm", "rt", "vm", "vt"):
+        header += [f"{name}_{c}" for c in axes]
+    header += ["lam", "theta", "delta", "F"]
+    if result.parameter_rate is not None:
+        header.append("dsdt")
+    rows = []
+    for i in range(result.n_nodes):
+        row = [result.times[i]]
+        for arr in (result.r, result.r_m, result.r_t, result.v_m, result.v_t):
+            row.extend(arr[i])
+        row += [result.lam[i], result.theta[i], result.delta[i], result.F[i]]
+        if result.parameter_rate is not None:
+            row.append(result.parameter_rate[i])
+        rows.append(row)
+    return header, rows
+
+
+def curve_rows(curve) -> tuple[list, list]:
+    """Header and per-node rows of an optimal-course table."""
+    axes = "xyz"[: curve.dim]
+    header = ["t"] + [f"x_{c}" for c in axes] + [f"v_{c}" for c in axes] + ["F"]
+    rows = [[curve.times[i], *curve.positions[i], *curve.velocities[i], curve.F_values[i]]
+            for i in range(curve.n_nodes)]
+    return header, rows
+
+
+def csv_text(header, rows) -> str:
+    """The header line, then ``",".join(repr(float(v)) for v in row)`` per row."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -2,13 +2,26 @@
 
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from parnav import ConvergenceError, InvalidInputError, cli, optimal
+from parnav import (
+    ConvergenceError,
+    InvalidInputError,
+    cli,
+    optimal,
+    optimal_trajectory,
+    reparametrize_unit_F,
+    simulate,
+)
 from tests.conftest import CLOSING
+from tests.reference import csv_text, curve_rows, sim_rows
 
 
 def scenario_doc(**overrides):
@@ -222,6 +235,79 @@ def test_unwritable_table_leaves_no_record(tmp_path):
     assert cli.main(["simulate", str(path), "--out", str(out), "--quiet"]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "table-dir"]
     assert not any(out.iterdir())
+
+
+# --- table bytes -----------------------------------------------------------------
+
+_SHEAR = {"type": "linear", "base": [0.1, 0.0], "gradient": [[0.0, 0.45], [0.0, 0.0]]}
+_REFERENCE_SCENARIO = scenario_doc()["scenario"]
+# case: (mode, scenario, extra CLI flags, metric field); simulate cases run at dt = 0.01
+_TABLE_CASES = {
+    "constant-2d": ("simulate", _REFERENCE_SCENARIO, (), None),
+    "constant-3d": ("simulate", {
+        "r0": [800.0, -300.0, 250.0], "target": {"type": "constant", "velocity": [60.0, 70.0, -20.0]},
+        "ratio": 2.5}, (), None),
+    "piecewise": ("simulate", {
+        "r0": [900.0, 200.0],
+        "target": {"type": "piecewise", "legs": [
+            {"duration": 1.5, "speed": 80.0, "heading_deg": 30.0},
+            {"duration": 2.0, "speed": 60.0, "heading_deg": -100.0},
+            {"duration": 3.0, "speed": 90.0, "heading_deg": 170.0}]},
+        "ratio": 2.0}, (), None),
+    "waypoints": ("simulate", {
+        "r0": [700.0, 0.0],
+        "target": {"type": "waypoints", "points": [[700.0, 0.0], [900.0, 300.0], [600.0, 700.0]], "speed": 90.0},
+        "ratio": 2.2}, (), None),
+    "unit-speed": ("simulate", _REFERENCE_SCENARIO, ("--unit-speed",), None),
+    "infeasible": ("simulate", {
+        "r0": [1000.0, 0.0], "target": {"type": "constant", "speed": 100.0, "heading_deg": 90.0},
+        "ratio": 0.5}, (), None),
+    "optimal-shear": ("optimal", {
+        "r0": [1.6, -0.9], "target": {"type": "constant", "velocity": [0.1, 0.0]},
+        "pursuer_speed": 2.0, "hit_radius": 0.05}, (), _SHEAR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_table_bytes_match_the_row_wise_format(tmp_path, case):
+    mode, scenario, extra, field = _TABLE_CASES[case]
+    doc = {"schema_version": 1, "scenario": {**scenario, **({"dt": 0.01} if mode == "simulate" else {})}}
+    if field is not None:
+        doc["metric"] = {"field": field}
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "table.csv"
+    code = cli.main([mode, str(path), "--out", str(out), "--quiet", *extra])
+    assert code == (3 if case == "infeasible" else 0)
+
+    scenario, metric_cfg, _ = cli.parse_scenario_text(json.dumps(doc))
+    if mode == "optimal":
+        header, rows = curve_rows(optimal_trajectory(scenario, metric_cfg["field"]))
+    else:
+        result = simulate(scenario)
+        if extra:
+            result = reparametrize_unit_F(result)
+        header, rows = sim_rows(result)
+    if case == "infeasible":
+        assert np.isnan(rows[-1]).any()
+    assert out.read_bytes() == csv_text(header, rows).encode()
+
+
+# A small pool makes every column repeat values and bit patterns heavily.
+_NAN_WITH_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]
+_POOL = [0.0, -0.0, float("nan"), -float("nan"), _NAN_WITH_PAYLOAD, float("inf"), -float("inf"),
+         5e-324, -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 1e-300,
+         1.0, -1.0, 0.1, 1.0 / 3.0, 2.0**53, 123456.789, 1e16, 1e-5]
+
+
+@example(table=[[0.0], [-0.0], [0.0], [-0.0]])
+@given(table=st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.lists(st.sampled_from(_POOL), min_size=m, max_size=m), min_size=1, max_size=30)
+))
+def test_write_csv_matches_the_row_wise_writer(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{j}" for j in range(len(table[0]))]
+    cli.write_csv(path, header, np.array(table, dtype=float))
+    assert path.read_bytes() == csv_text(header, table).encode()
 
 
 # --- optimal / pmp-check ---------------------------------------------------------

@@ -311,6 +311,26 @@ def test_partial_curve_on_domain_exit():
     np.testing.assert_array_equal(partial.velocities, prefix.velocities)
 
 
+def test_partial_curve_when_a_completed_step_lands_outside_the_domain():
+    # step 1 completes outside the domain and step 2 fails on its starting node,
+    # which the partial curve leaves out
+    field = LinearField(
+        [-0.1122950392032509, -0.4519825765820963],
+        [[1.8029114663218433, 1.5018035747708627], [3.3862139859998583, 2.120214740918297]],
+    )
+    m = NavMetric(NavMetricParams(1.0, 0.0), field)
+    x0 = np.array([0.3126756136731912, -0.9762293199416299])
+    y0 = m.unit_vector(x0, np.array([math.cos(0.32925720094492933), math.sin(0.32925720094492933)]))
+    with pytest.raises(PartialCurveError, match="during step 2") as exc_info:
+        integrate_geodesic(m, x0, y0, horizon=20.0, step=0.5)
+    partial = exc_info.value.partial
+    assert partial is not None
+    np.testing.assert_array_equal(partial.times, [0.0, 0.5])
+    np.testing.assert_array_equal(partial.positions[0], x0)
+    assert np.all(np.isfinite(partial.F_values))
+    m.F_many(partial.positions, partial.velocities)  # every node is in the domain
+
+
 @pytest.mark.parametrize(
     "x0, y0",
     [([math.nan, 0.9], [0.3, -0.2]), ([-1.6, 0.9], [math.inf, -0.2]), ([-1.6, 0.9, 0.0], [0.3, -0.2])],
