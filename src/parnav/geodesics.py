@@ -173,6 +173,13 @@ def _planar_vector(v, name: str) -> list:
     return v.tolist()
 
 
+def _time_derivative(A, times) -> np.ndarray:
+    """``dA/dt`` by second-order differences along axis 0, one-sided at both ends; needs three nodes."""
+    if len(times) < 3:
+        raise InvalidInputError(f"time derivatives need 3 course nodes or more, got {len(times)}: use a smaller --step")
+    return np.gradient(A, times, axis=0, edge_order=2)
+
+
 def spray_coefficients(metric, x, y) -> np.ndarray:
     """Geodesic spray ``G^i(x, y)``: ``-1/2`` the acceleration of the metric's :class:`_PlanarFlow`."""
     a1, a2 = _PlanarFlow(metric).accel(*_planar_vector(x, "x"), *_planar_vector(y, "y"))
@@ -248,7 +255,7 @@ def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) ->
     """:func:`covariant_derivative` with node ``i``'s connection taken from ``metrics[i]``."""
     if variant not in ("quadratic", "affine"):
         raise InvalidInputError(f"unknown variant {variant!r}")
-    dY = np.gradient(Y, curve.times, axis=0, edge_order=2)
+    dY = _time_derivative(Y, curve.times)
     out = np.empty_like(Y)
     for i, m in enumerate(metrics):
         B = berwald_coefficients(m, curve.positions[i], curve.velocities[i])
@@ -312,9 +319,9 @@ def euler_lagrange_residual(metric, curve: CurveRecord, energy_scale: float = 0.
     come from one batched ``metric.gradients_many`` call; the momenta's time
     derivative takes second-order differences on the curve grid, with
     one-sided second-order stencils at both endpoints (first-order ends are
-    not accurate enough to certify a geodesic).
+    not accurate enough to certify a geodesic), so a course needs three nodes.
     """
     F, dFdv, dFdx = metric.gradients_many(curve.positions, curve.velocities)
     k = (2.0 * energy_scale * F)[:, None]
-    dPdt = np.gradient(k * dFdv, curve.times, axis=0, edge_order=2)
+    dPdt = _time_derivative(k * dFdv, curve.times)
     return np.linalg.norm(dPdt - k * dFdx, axis=1)

@@ -211,23 +211,23 @@ class NavMetric:
         _require_closing(den)
         return f
 
-    def _velocity_gradient(self, X, Y, delta=None):
+    def _velocity_gradient(self, X, Y):
         """Row-wise ``(Y, |y|, F, dF/dy, D, w)`` behind :meth:`gradients_many`."""
         Y, ny, yv, V = self._closing_terms(X, Y)
-        c = self._closing_speed(delta)
+        c = self._closing_speed(None)
         f, den = _closing_quotient(c, ny, yv)
         _require_closing(den)
         w = (c / ny)[:, None] * Y - V
         return Y, ny, f, (2.0 * Y - f[:, None] * w) / den[:, None], den, w
 
-    def gradients_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gradients_many(self, X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row-wise ``(F, dF/dy, dF/dx)`` in closed form, gated like :meth:`F_many`.
 
         With ``D = c|y| - <y, v_T>`` (``c = v_M cos delta``) and ``w = dD/dy = c y/|y| - v_T``:
         ``dF/dy = (2y - F w)/D`` and ``dF/dx = (F/|y|)^2 J^T y`` with ``J = dv_T/dx``
-        (zero for a field without a Jacobian).  ``delta`` overrides the lead angle per row.
+        (zero for a field without a Jacobian).
         """
-        Y, ny, f, dFdy, _, _ = self._velocity_gradient(X, Y, delta)
+        Y, ny, f, dFdy, _, _ = self._velocity_gradient(X, Y)
         J = self.field.jacobian(X)
         if J is None:
             return f, dFdy, np.zeros_like(Y)

@@ -6,13 +6,14 @@ the control Hamiltonian
 
     H(r, p, delta, X) = <p, X> - F_delta(r, X)
 
-with the lead angle as the control, its pointwise maximization over
+with the lead angle as the control, its pointwise maximum over
 ``delta``, the adjoint consistency check ``dp/dt = -dH*/dr`` along a
 candidate course, and a shooting solver that produces the time-optimal
-course itself by integrating zero-lead geodesics.  The zero-lead course
-is optimal because ``F_delta >= F_0`` pointwise (the lead angle only
-burns speed on sideways motion), which is also exposed here as a
-sampling check.
+course itself by integrating zero-lead geodesics.  Because ``F_delta >=
+F_0`` pointwise (the lead angle only burns speed on sideways motion),
+the maximum is in closed form at ``delta* = 0``, and the zero-lead
+course is optimal; the inequality is also exposed here as a sampling
+check.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .geodesics import (
     _PlanarFlow,
     _covariant_rate,
     _flow_curve,
+    _time_derivative,
     _trapezoid,
     euler_lagrange_residual,
     spray_coefficients,
@@ -63,34 +65,26 @@ _FAN_STEP = 0.05
 _MAX_SHOTS = 80
 
 
-def _golden_max(f, a, b, tol: float):
-    """Golden-section maxima of a unimodal-ish f on brackets [a, b], in lock step.
+def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximum of a unimodal-ish float function ``f`` on ``[a, b]``.
 
-    ``f`` maps an array of points to values (``-inf`` allowed); a bracket
-    stops once ``<= tol`` wide.  Returns ``(x, f(x))``, the best of each
-    bracket's last three points, larger ``x`` winning ties.
+    Stops once the bracket is ``<= tol`` wide and returns ``(x, f(x))``, the
+    best of its last three points, larger ``x`` winning ties.
     """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    active = b - a > tol
-    while active.any():
-        up = active & (f1 < f2)
-        down = active & ~up
-        a = np.where(up, x1, a)
-        b = np.where(down, x2, b)
-        xn = np.where(up, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        fn = f(xn)
-        x1, x2 = np.where(up, x2, np.where(down, xn, x1)), np.where(up, xn, np.where(down, x1, x2))
-        f1, f2 = np.where(up, f2, np.where(down, fn, f1)), np.where(up, fn, np.where(down, f1, f2))
-        active = b - a > tol
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
     xm = 0.5 * (a + b)
-    best_x, best_f = x1, f1
-    for xc, fc in ((x2, f2), (xm, f(xm))):
-        take = (fc > best_f) | ((fc == best_f) & (xc > best_x))
-        best_x, best_f = np.where(take, xc, best_x), np.where(take, fc, best_f)
-    return best_x, best_f
+    fx, x = max((f1, x1), (f2, x2), (f(xm), xm))
+    return x, fx
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -98,52 +92,17 @@ def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
-def _maximized_hamiltonians(metric: NavMetric, X, P, D, grid_size: int = 181, refine_tol: float = 1e-8):
-    """Row-wise :func:`maximized_hamiltonian`: arrays ``(H_max, delta_star)``."""
-    V = D / metric.with_delta(0.0).F_many(X, D)[:, None]
-    pV = _row_dots(P, V)
+def maximized_hamiltonian(metric: NavMetric, x, p, direction) -> tuple[float, float]:
+    """Maximize ``H = <p, X> - F_delta(x, X)`` over the lead angle at one course point.
 
-    def score(delta):  # (m, k) table of H over lead angles; -inf where F is undefined
-        f, _ = metric.value_many(X, V, delta)
-        return np.where(np.isnan(f), -np.inf, pV[:, None] - f)
-
-    grid = np.linspace(-math.pi / 2.0, math.pi / 2.0, grid_size + 2)[1:-1]
-    vals = score(grid[None, :])
-    i = np.argmax(vals, axis=1)
-    best = vals[np.arange(i.size), i]
-    if not np.isfinite(best).all():
-        raise OutOfDomainError("candidate velocity closes for no lead angle")
-    lo = grid[np.maximum(i - 1, 0)]
-    hi = grid[np.minimum(i + 1, grid.size - 1)]
-    delta_star, h_max = _golden_max(lambda d: score(d[:, None])[:, 0], lo, hi, refine_tol)
-    won = best > h_max  # a grid point beat the refinement bracket
-    return np.where(won, best, h_max), np.where(won, grid[i], delta_star)
-
-
-def maximized_hamiltonian(
-    metric: NavMetric,
-    x,
-    p,
-    direction,
-    grid_size: int = 181,
-    refine_tol: float = 1e-8,
-) -> tuple[float, float]:
-    """Maximize ``H`` over the lead angle at one course point.
-
-    The candidate velocity is ``direction`` rescaled to unit zero-lead
-    length and held fixed while ``delta`` scans ``grid_size`` interior
-    points of an even grid on ``(-pi/2, pi/2)`` (lead angles whose metric
-    is undefined at the candidate score ``-inf``).  Golden-section
-    refinement then runs on the grid neighbours of the best grid point
-    until the bracket is ``refine_tol`` wide, keeping the best of its
-    last three points; if the best grid point still scores higher, it
-    wins.  Raises :class:`OutOfDomainError` if no grid angle closes.
-    Returns ``(H_max, delta_star)``; :func:`pmp_check` runs the same
-    scan on all its points in one batch.
+    ``X`` is ``direction`` rescaled to unit zero-lead length, whatever
+    ``metric``'s own ``delta``.  ``F_delta = |X|^2 / (v_M cos(delta) |X| - <X, v_T>)``
+    only grows as ``|delta|`` grows, so the maximum is at ``delta* = 0``, where
+    ``F_0(x, X) = 1``.  Returns ``(<p, d> / F_0(x, d) - 1, 0.0)`` for ``d =
+    direction``; raises :class:`OutOfDomainError` where ``F_0`` does not close.
     """
-    rows = (np.asarray(a, dtype=float)[None, :] for a in (x, p, direction))
-    h_max, delta_star = _maximized_hamiltonians(metric, *rows, grid_size, refine_tol)
-    return float(h_max[0]), float(delta_star[0])
+    d = np.asarray(direction, dtype=float)
+    return float(np.asarray(p, dtype=float) @ d) / metric.with_delta(0.0).F(x, d) - 1.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -181,16 +140,18 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
     Everything is evaluated with ``metric``'s field at zero lead angle,
     whatever its own ``delta``.  The course must be unit-F parametrized
     to 1e-6 (anything else is a usage error, not a failed certificate).
-    Costates are the canonical momenta ``p = F dF/dv``.  The adjoint
-    residual is ``|dp/dt + dH*/dx|``, where ``dH*/dx = -dF_{delta*}/dx`` at
-    fixed ``v`` by the envelope theorem (Danskin, *The Theory of Max-Min*,
-    1967), so no position stencil is re-maximized.  ``F``'s gradients are
+    Costates are the canonical momenta ``p = F dF/dv``.  The maximized
+    Hamiltonian is :func:`maximized_hamiltonian`'s closed form, ``H* =
+    <p, v>/F - 1`` at ``delta* = 0``; since ``<p, v> = F^2`` (Euler's
+    theorem), ``H* = F - 1`` and the control gap ``H* - H(delta = 0)`` is
+    exactly ``-(F - 1)^2``.  The adjoint residual is ``|dp/dt + dH*/dx|``,
+    where ``dH*/dx = -dF_0/dx`` at fixed ``v`` by the envelope theorem
+    (Danskin, *The Theory of Max-Min*, 1967).  ``F``'s gradients are
     closed forms (:meth:`NavMetric.gradients_many`); only time derivatives,
     of ``p`` and in the Euler-Lagrange residual (``L = F^2``), are
-    differences on the curve grid.  The course passes when ``|H|``, the
-    adjoint and Euler-Lagrange residuals are at most 1e-4 and the control
-    gap at most 1e-6.  The lead-angle maximization follows
-    :func:`maximized_hamiltonian`, run as one batch over all nodes.
+    differences on the curve grid, which needs three nodes at least.  The
+    course passes when ``|H*|``, the adjoint and Euler-Lagrange residuals
+    are at most 1e-4 and the control gap at most 1e-6.
     """
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not np.isfinite(unit_defect) or unit_defect > 1e-6:
@@ -199,15 +160,12 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
         )
     metric = metric.with_delta(0.0)
     X, V = curve.positions, curve.velocities
-    F, dFdv, _ = metric.gradients_many(X, V)
+    F, dFdv, dFdx = metric.gradients_many(X, V)
     P = F[:, None] * dFdv
-    h_at = _row_dots(P, V) - F
-
-    hams, dstars = _maximized_hamiltonians(metric, X, P, V)
-    gaps = hams - h_at
-    _, _, dFdx = metric.gradients_many(X, V, dstars)
-    dPdt = np.gradient(P, curve.times, axis=0, edge_order=2)
-    adj = np.linalg.norm(dPdt - dFdx, axis=1)
+    pV = _row_dots(P, V)
+    hams, dstars = pV / F - 1.0, np.zeros_like(F)
+    gaps = hams - (pV - F)
+    adj = np.linalg.norm(_time_derivative(P, curve.times) - dFdx, axis=1)
 
     el = euler_lagrange_residual(metric, curve, energy_scale=1.0)
 
@@ -274,7 +232,7 @@ def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_m
 
     # refine the closest approach inside the last step
     za = states[-2]
-    tau_star = float(_golden_max(lambda tau: -_range_after(flow, za, float(tau)), 0.0, step, 1e-12 * step)[0])
+    tau_star = _golden_max(lambda tau: -_range_after(flow, za, tau), 0.0, step, 1e-12 * step)[0]
     x1, x2, y1, y2 = flow.step(za, tau_star) if tau_star > 0.0 else za
     ny = math.sqrt(y1 * y1 + y2 * y2)
     miss = x1 * (y2 / ny) - x2 * (y1 / ny)
@@ -547,8 +505,8 @@ def pursuer_ode_residual(
     if deltas.shape != (N,):
         raise InvalidInputError(f"deltas must hold one lead angle per node: shape ({N},), got {deltas.shape}")
 
-    d1 = np.gradient(pursuer_curve.positions, pursuer_curve.times, axis=0, edge_order=2)
-    accel = np.gradient(d1, pursuer_curve.times, axis=0, edge_order=2)
+    d1 = _time_derivative(pursuer_curve.positions, pursuer_curve.times)
+    accel = _time_derivative(d1, pursuer_curve.times)
 
     metrics = [metric.with_delta(float(d)) for d in deltas]
     G = [spray_coefficients(m, x, v) for m, x, v in zip(metrics, course_curve.positions, course_curve.velocities)]

@@ -368,6 +368,22 @@ def test_pmp_check_report(tmp_path):
     assert doc["report"]["max_adjoint_residual"] < 1e-4
 
 
+@pytest.mark.parametrize(
+    "extra, scenario", [(["--step", "100"], {}), ([], {"hit_radius": 999.0})], ids=["step", "radius"]
+)
+def test_pmp_check_on_a_two_node_course_exits_2(tmp_path, capsys, extra, scenario):
+    # the course is valid (t_f 6.66333 at --step 100), but its time derivatives need three nodes
+    doc = scenario_doc()
+    doc["scenario"].update(scenario)
+    out = tmp_path / "report.json"
+    code = cli.main(["pmp-check", str(write_scenario(tmp_path, doc)), "--out", str(out), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "smaller --step" in err and "Traceback" not in err
+    assert not out.exists()
+    assert not (tmp_path / "report.json.record.json").exists()
+
+
 # --- sweep -----------------------------------------------------------------------
 
 

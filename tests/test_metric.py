@@ -214,36 +214,35 @@ unit = st.floats(-1.0, 1.0)
 @given(
     dim=st.sampled_from([2, 3]),
     v_m=st.floats(1.5, 3.0),
+    delta=st.floats(-0.6, 0.6),
     field=st.lists(unit, min_size=12, max_size=12),
-    rows=st.lists(st.lists(unit, min_size=7, max_size=7), min_size=1, max_size=5),
+    rows=st.lists(st.lists(unit, min_size=6, max_size=6), min_size=1, max_size=5),
 )
-def test_gradients_many_rows_match_single_row_and_finite_differences(dim, v_m, field, rows):
+def test_gradients_many_rows_match_single_row_and_finite_differences(dim, v_m, delta, field, rows):
     f = LinearField(0.3 * np.array(field[:dim]), 0.3 * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
-    m = NavMetric(NavMetricParams(v_m, 0.0), f)
+    m = NavMetric(NavMetricParams(v_m, delta), f)
     X = 2.0 * np.array([r[:dim] for r in rows])
     Y = 2.0 * np.array([r[3 : 3 + dim] for r in rows])
-    D = 0.6 * np.array([r[6] for r in rows])
     # strongly convex rows stay well inside the domain, where differences are accurate
     keep = [
         k for k in range(len(rows))
-        if np.linalg.norm(Y[k]) > 1e-2 and strong_convexity_margin(m.with_delta(D[k]).params, f(X[k])) > 0.05
+        if np.linalg.norm(Y[k]) > 1e-2 and strong_convexity_margin(m.params, f(X[k])) > 0.05
     ]
     if not keep:
         return
-    X, Y, D = X[keep], Y[keep], D[keep]
-    batched = m.gradients_many(X, Y, D)
-    for k, (x, y, d) in enumerate(zip(X, Y, D)):
-        for a, b in zip(batched, m.gradients_many(x[None], y[None], D[k : k + 1])):
+    X, Y = X[keep], Y[keep]
+    batched = m.gradients_many(X, Y)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        for a, b in zip(batched, m.gradients_many(x[None], y[None])):
             assert np.array_equal(a[k], b[0])
-        md = m.with_delta(d)
         F, dFdy, dFdx = (a[k] for a in batched)
-        g = md.fundamental_tensor(x, y)
+        g = m.fundamental_tensor(x, y)
         # scales: |dF/dy| ~ F/|y|, |dF/dx| <= F^2 |J| / |y|, |g| ~ (F/|y|)^2; numdiff's
         # steps put the worst of 3000 draws at 4e-9, 1.3e-6 and 1.7e-7 of these
         s = F / np.linalg.norm(y)
-        assert np.linalg.norm(dFdy - numdiff.y_gradient(md.F_many, x, y)) <= 1e-7 * s
-        assert np.linalg.norm(dFdx - numdiff.x_gradient(md.F_many, x, y)) <= 1e-5 * s * F * np.linalg.norm(f.gradient)
-        assert np.linalg.norm(g - numdiff.y_hessian(lambda X_, Y_: 0.5 * md.F_many(X_, Y_) ** 2, x, y)) <= 1e-6 * s * s
+        assert np.linalg.norm(dFdy - numdiff.y_gradient(m.F_many, x, y)) <= 1e-7 * s
+        assert np.linalg.norm(dFdx - numdiff.x_gradient(m.F_many, x, y)) <= 1e-5 * s * F * np.linalg.norm(f.gradient)
+        assert np.linalg.norm(g - numdiff.y_hessian(lambda X_, Y_: 0.5 * m.F_many(X_, Y_) ** 2, x, y)) <= 1e-6 * s * s
 
 
 def test_gradients_many_gates_the_domain():
@@ -252,8 +251,6 @@ def test_gradients_many_gates_the_domain():
         m.gradients_many(np.zeros((2, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(InvalidInputError):
         m.gradients_many(np.zeros((1, 2)), np.zeros((1, 2)))
-    with pytest.raises(InvalidInputError):
-        m.gradients_many(np.zeros((1, 2)), np.array([[-1.0, 0.0]]), np.array([math.pi / 2.0]))
     with pytest.raises(OutOfDomainError):
         m.fundamental_tensor(ORIGIN, np.array([1.0, 0.0]))
     flat = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.5, 0.0]))

@@ -1,5 +1,6 @@
 """Optimality layer: maximized Hamiltonian, certificate, shooting, monotonicity, ODE residual."""
 
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from parnav import (
     simulate,
 )
 from parnav.geodesics import _PlanarFlow
-from parnav.optimal import _maximized_hamiltonians, _next_launch_angle
+from parnav.optimal import _golden_max, _next_launch_angle
 from tests.conftest import CLOSING, DELTA0, THETA0
 from tests.reference import geodesic_field, rk4_step, spray_many
 
@@ -54,7 +55,25 @@ def test_maximized_hamiltonian_prefers_zero_lead(example_metric):
     p = example_metric.fundamental_tensor(x0, curve.velocities[0]) @ curve.velocities[0]
     h, dstar = maximized_hamiltonian(example_metric, x0, p, curve.velocities[0])
     assert abs(h) < 1e-6
-    assert abs(dstar) < 1e-6
+    assert dstar == 0.0
+
+
+def _reference_golden(score, a, b, tol):
+    """Golden-section search one point at a time: ``(score, x)``, the best of the last three points."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - g * (b - a), a + g * (b - a)
+    f1, f2 = score(x1), score(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + g * (b - a)
+            f2 = score(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - g * (b - a)
+            f1 = score(x1)
+    xm = 0.5 * (a + b)
+    return max((f1, x1), (f2, x2), (score(xm), xm))
 
 
 def _reference_scan(score, grid_size=181, refine_tol=1e-8):
@@ -65,34 +84,8 @@ def _reference_scan(score, grid_size=181, refine_tol=1e-8):
     if not math.isfinite(vals[i]):
         raise OutOfDomainError("no lead angle closes")
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - g * (b - a), a + g * (b - a)
-    f1, f2 = score(x1), score(x2)
-    while b - a > refine_tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + g * (b - a)
-            f2 = score(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - g * (b - a)
-            f1 = score(x1)
-    xm = 0.5 * (a + b)
-    h, d = max((f1, x1), (f2, x2), (score(xm), xm))
+    h, d = _reference_golden(score, a, b, refine_tol)
     return (vals[i], float(grid[i])) if vals[i] > h else (h, d)
-
-
-def _reference_maximizer(metric, x, p, direction, grid_size=181):
-    """Scores one lead angle at a time with the metric's row arithmetic: the same bits a batch sees."""
-    x, direction = x[None, :], direction[None, :]
-    X = direction / metric.with_delta(0.0).F_many(x, direction)[:, None]
-    pX = float(p @ X[0])
-
-    def score(delta):
-        f = float(metric.value_many(x, X, np.array([[delta]]))[0][0, 0])
-        return -math.inf if math.isnan(f) else pX - f
-
-    return _reference_scan(score, grid_size)
 
 
 def _scalar_score(metric, x, p, direction):
@@ -110,90 +103,73 @@ def _scalar_score(metric, x, p, direction):
 unit = st.floats(-1.0, 1.0)
 
 
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(
+    dim=st.sampled_from([2, 3]),
     shear=st.booleans(),
     v_m=st.floats(0.5, 300.0),
-    field=st.lists(unit, min_size=6, max_size=6),
-    points=st.lists(st.lists(unit, min_size=6, max_size=6), min_size=1, max_size=4),
+    delta=st.floats(-1.5, 1.5),
+    field=st.lists(unit, min_size=12, max_size=12),
+    q=st.lists(unit, min_size=9, max_size=9),
 )
-def test_batched_scan_matches_reference(shear, v_m, field, points):
-    """Flat and shear points; some rows lose the large lead angles (-inf grid entries)."""
+def test_maximized_hamiltonian_matches_the_reference_scan(dim, shear, v_m, delta, field, q):
+    """Flat and shear, 2-d and 3-d, whatever the metric's own lead angle; rows with
+    ``<d, v_T> > 0`` lose the large lead angles (-inf scan entries)."""
+    x, p, d = (np.array(q[k : k + dim]) for k in (0, 3, 6))
     if shear:
-        f = LinearField([0.15 * field[0], 0.15 * field[1]], 0.3 * np.reshape(field[2:], (2, 2)))
-        metric = NavMetric(NavMetricParams(2.0, 0.0), f)
-        rows = [(2.0 * np.array(q[:2]), np.array(q[2:4]), np.array(q[4:])) for q in points]
+        f = LinearField(0.15 * np.array(field[:dim]), 0.3 * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
+        metric = NavMetric(NavMetricParams(2.0, delta), f)
+        x = 2.0 * x
     else:
-        metric = NavMetric(NavMetricParams(v_m, 0.0), ConstantField(0.9 * v_m * np.array(field[:2]) / 2.0))
-        rows = [(1e3 * np.array(q[:2]), np.array(q[2:4]) / v_m, np.array(q[4:])) for q in points]
-    rows = [(x, p, d) for x, p, d in rows if np.linalg.norm(d) > 1e-3]
-    if not rows or any(metric.value(x, d).denominator <= 1e-9 * np.linalg.norm(d) for x, _, d in rows):
-        return
-    X, P, D = (np.array(c) for c in zip(*rows))
-    H, dstar = _maximized_hamiltonians(metric, X, P, D)
-    for k, (x, p, d) in enumerate(rows):
-        if not shear:  # a constant field rounds every row alike, batched or not
-            assert (H[k], dstar[k]) == _reference_maximizer(metric, x, p, d)
-        score = _scalar_score(metric, x, p, d)
-        h_ref, d_ref = _reference_scan(score)
-        assert abs(H[k] - h_ref) <= 1e-12
-        # last-bit differences in |y| and <y, v_T> can steer the golden steps
-        # across a top that is flat to roundoff; both angles must then score alike
-        assert abs(dstar[k] - d_ref) <= 2e-8 or abs(score(float(dstar[k])) - h_ref) <= 1e-12
+        metric = NavMetric(NavMetricParams(v_m, delta), ConstantField(0.9 * v_m * np.array(field[:dim]) / 2.0))
+        x, p = 1e3 * x, p / v_m
+    # well inside the domain, where F_0 at the unit velocity rounds to 1 within a few ulp
+    c = metric.params.v_m
+    assume(np.linalg.norm(d) > 1e-3 and metric.with_delta(0.0).value(x, d).denominator > 1e-2 * c * np.linalg.norm(d))
+    h, dstar = maximized_hamiltonian(metric, x, p, d)
+    h_ref, _ = _reference_scan(_scalar_score(metric, x, p, d))
+    assert dstar == 0.0
+    assert abs(h - h_ref) <= 1e-12
 
 
-def test_batched_scan_with_out_of_domain_grid_entries():
-    # closing needs cos(delta) > 0.9: all but the central ~50 grid angles score -inf
-    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.9, 0.0]))
-    X = np.array([[-5.0, 0.0], [-5.0, 1.0], [3.0, -2.0]])
-    P = np.array([[1.0, 0.2], [-0.5, 0.3], [0.1, 0.1]])
-    D = np.array([[1.0, 0.0], [1.0, 0.1], [0.2, 1.0]])
-    H, dstar = _maximized_hamiltonians(metric, X, P, D)
-    for k in range(3):
-        assert (H[k], dstar[k]) == _reference_maximizer(metric, X[k], P[k], D[k])
-
-
-class _TiltedLead(NavMetric):
-    """Still-air metric whose lead-angle cost is least at a per-row ``tilt`` instead of 0."""
-
-    def __init__(self, tilt):
-        super().__init__(NavMetricParams(1.0, 0.0), ConstantField([0.0, 0.0]))
-        self.tilt = np.asarray(tilt, dtype=float)[:, None]
-
-    def value_many(self, X, Y, delta=None):
-        f, den = super().value_many(X, Y)
-        if delta is None:
-            return f, den
-        return f[:, None] * (1.0 + (np.asarray(delta) - self.tilt) ** 2), den[:, None]
-
-
-def test_batched_scan_argmax_at_grid_ends():
-    """End rows (half-width brackets) and interior rows refine side by side in one batch."""
-    end = math.pi / 2.0 - math.pi / 182.0  # outermost grid points are -end and +end
-    tilts = np.array([-2.0, -end + 0.005, 0.3, end - 0.005, 2.0])
-    expected = np.array([-end, -end + 0.005, 0.3, end - 0.005, end])
-    metric = _TiltedLead(tilts)
-    X = np.zeros((5, 2))
-    P = np.array([[0.3, 0.0], [0.0, -1.0], [1.0, 1.0], [-0.2, 0.5], [0.0, 0.0]])
-    D = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, -1.0], [3.0, 1.0], [-1.0, 0.0]])
-    H, dstar = _maximized_hamiltonians(metric, X, P, D)
-    for k, tilt in enumerate(tilts):
-        h_ref, d_ref = _reference_maximizer(_TiltedLead([tilt]), X[k], P[k], D[k])
-        assert d_ref == pytest.approx(expected[k], abs=1e-7)
-        assert (H[k], dstar[k]) == (h_ref, d_ref)
-
-
-def test_batched_scan_raises_when_a_row_closes_for_no_grid_angle():
-    # two grid angles, +-pi/6, and cos(pi/6) < 0.9: the along-field row closes only near zero lead
-    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.9, 0.0]))
-    X = np.zeros((2, 2))
-    P = np.ones((2, 2))
-    D = np.array([[0.0, 1.0], [1.0, 0.0]])
-    _maximized_hamiltonians(metric, X[:1], P[:1], D[:1], grid_size=2)
+def test_maximized_hamiltonian_raises_where_the_direction_does_not_close():
+    # the target outruns the pursuer along d: no lead angle closes, zero lead included
+    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([1.5, 0.0]))
+    x, p, d = np.zeros(2), np.ones(2), np.array([1.0, 0.0])
     with pytest.raises(OutOfDomainError):
-        _maximized_hamiltonians(metric, X, P, D, grid_size=2)
+        maximized_hamiltonian(metric, x, p, d)
     with pytest.raises(OutOfDomainError):
-        maximized_hamiltonian(metric, X[1], P[1], D[1], grid_size=2)
+        _reference_scan(_scalar_score(metric, x, p, d))
+
+
+def _staircase(a, width, centre, flat, levels):
+    """A peak at ``a + centre width``, flat for ``flat width`` either side; ``levels`` > 0 rounds it to steps."""
+    c, w = a + centre * width, flat * width
+
+    def f(x):
+        u = max(abs(x - c) - w, 0.0) / width
+        return -float(math.floor(u * levels)) if levels else -u * u
+
+    return f
+
+
+@settings(max_examples=80)
+@given(
+    offset=st.floats(-100.0, 100.0),
+    width=st.floats(1e-6, 10.0),
+    centre=st.floats(-0.2, 1.2),
+    flat=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    levels=st.sampled_from([0, 3, 1000]),
+    tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
+)
+def test_golden_max_matches_the_reference_golden_loop(offset, width, centre, flat, levels, tol):
+    """Peaks inside and outside the bracket, plateaus and staircases (ties): the same bits."""
+    # the bracket [a, a + width] sits within 100 widths of 0, so a 1e-12-wide one is still many ulps
+    a = offset * width
+    f = _staircase(a, width, centre, flat, levels)
+    x, fx = _golden_max(f, a, a + width, tol * width)
+    h, d = _reference_golden(f, a, a + width, tol * width)
+    assert (x.hex(), fx.hex()) == (d.hex(), h.hex())
 
 
 def test_pmp_check_requires_unit_course(example_metric):
@@ -208,7 +184,7 @@ def test_pmp_certificate_on_straight_course(example_metric):
     report = pmp_check(example_metric, curve)
     assert report.passed
     assert report.max_hamiltonian < 1e-8
-    assert report.max_abs_delta_star < 1e-6
+    assert report.max_abs_delta_star == 0.0
     assert report.max_adjoint_residual < 1e-8
     assert report.max_el_residual < 1e-8
     summary = report.summary()
@@ -226,23 +202,22 @@ def test_pmp_certificate_on_shear_geodesic(shear_metric, shear_start):
 
 
 def test_envelope_adjoint_matches_re_maximizing_stencil(shear_metric, shear_start):
-    """Oracle for the adjoint: central differences of H* in x, re-maximizing H at every x +- h e_k."""
+    """Oracle for the adjoint: central differences of H* in x, re-maximized by the reference scan at x +- h e_k."""
     x0, y0 = shear_start
     curve = integrate_geodesic(shear_metric, x0, y0, horizon=2.0, step=1e-2)
     report = pmp_check(shear_metric, curve)
     X, V, n = curve.positions, curve.velocities, curve.dim
-    F, dFdv, _ = shear_metric.gradients_many(X, V)
+    F, dFdv, dFdx = shear_metric.gradients_many(X, V)
     P = F[:, None] * dFdv
     hx = 1e-5 * (1.0 + np.linalg.norm(X, axis=1))
     grad = np.empty_like(X)
-    for k in range(n):
-        shift = hx[:, None] * np.eye(n)[k]
-        up, _ = _maximized_hamiltonians(shear_metric, X + shift, P, V)
-        down, _ = _maximized_hamiltonians(shear_metric, X - shift, P, V)
-        grad[:, k] = (up - down) / (2.0 * hx)
+    for i, k in itertools.product(range(curve.n_nodes), range(n)):
+        shift = hx[i] * np.eye(n)[k]
+        up, _ = _reference_scan(_scalar_score(shear_metric, X[i] + shift, P[i], V[i]))
+        down, _ = _reference_scan(_scalar_score(shear_metric, X[i] - shift, P[i], V[i]))
+        grad[i, k] = (up - down) / (2.0 * hx[i])
     adj = np.linalg.norm(np.gradient(P, curve.times, axis=0, edge_order=2) + grad, axis=1)
-    # dH*/dx = -dF_{delta*}/dx; measured 1.3e-11 against |dF/dx| up to 0.27
-    _, _, dFdx = shear_metric.gradients_many(X, V, report.delta_stars)
+    # dH*/dx = -dF_0/dx; measured 1.3e-11 against |dF/dx| up to 0.27
     assert np.max(np.abs(grad + dFdx)) <= 1e-9
     assert np.max(np.abs(report.adjoint_residuals - adj)) <= 1e-9
 
@@ -626,6 +601,17 @@ def test_pursuer_ode_residual_needs_one_delta_per_node(example_scenario, example
     # a single angle must not leave the nodes past the first unwritten
     with pytest.raises(InvalidInputError, match="one lead angle per node"):
         pursuer_ode_residual(example_metric, pursuer, target, course, deltas=deltas[keep])
+
+
+def test_time_derivatives_need_three_nodes(example_metric):
+    curve = _chord_curve(example_metric, np.array([-1000.0, 0.0]), 6.0, 2)
+    for residual in (
+        lambda: euler_lagrange_residual(example_metric, curve),
+        lambda: pursuer_ode_residual(example_metric, curve, curve, curve),
+        lambda: pmp_check(example_metric, curve),
+    ):
+        with pytest.raises(InvalidInputError, match="3 course nodes or more, got 2"):
+            residual()
 
 
 # --- closed form -------------------------------------------------------------------
