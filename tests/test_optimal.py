@@ -112,8 +112,9 @@ unit = st.floats(-1.0, 1.0)
     field=st.lists(unit, min_size=12, max_size=12),
     q=st.lists(unit, min_size=9, max_size=9),
 )
-def test_maximized_hamiltonian_matches_the_reference_scan(dim, shear, v_m, delta, field, q):
-    """Flat and shear, 2-d and 3-d, whatever the metric's own lead angle; rows with
+def test_batched_scan_matches_reference(dim, shear, v_m, delta, field, q):
+    """The closed-form maximum matches the lead-angle scan, one angle at a time: flat
+    and shear, 2-d and 3-d, whatever the metric's own lead angle; rows with
     ``<d, v_T> > 0`` lose the large lead angles (-inf scan entries)."""
     x, p, d = (np.array(q[k : k + dim]) for k in (0, 3, 6))
     if shear:
@@ -130,6 +131,20 @@ def test_maximized_hamiltonian_matches_the_reference_scan(dim, shear, v_m, delta
     h_ref, _ = _reference_scan(_scalar_score(metric, x, p, d))
     assert dstar == 0.0
     assert abs(h - h_ref) <= 1e-12
+
+
+def test_batched_scan_with_out_of_domain_grid_entries():
+    # closing needs cos(delta) > 0.9: all but the central ~50 scan angles score -inf
+    metric = NavMetric(NavMetricParams(1.0, 0.0), ConstantField([0.9, 0.0]))
+    X = np.array([[-5.0, 0.0], [-5.0, 1.0], [3.0, -2.0]])
+    P = np.array([[1.0, 0.2], [-0.5, 0.3], [0.1, 0.1]])
+    D = np.array([[1.0, 0.0], [1.0, 0.1], [0.2, 1.0]])
+    for x, p, d in zip(X, P, D):
+        h, dstar = maximized_hamiltonian(metric, x, p, d)
+        h_ref, d_ref = _reference_scan(_scalar_score(metric, x, p, d))
+        assert dstar == 0.0
+        assert abs(d_ref) <= 2e-8
+        assert abs(h - h_ref) <= 1e-12
 
 
 def test_maximized_hamiltonian_raises_where_the_direction_does_not_close():
