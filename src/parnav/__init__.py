@@ -54,12 +54,9 @@ from .kinematics import (
     Waypoints,
     collinearity_defect,
     pn_lead_angle,
-    polar_rates,
-    reconstruct_pursuer,
     relative_course,
     reparametrize_unit_F,
     simulate,
-    target_path,
 )
 from .optimal import (
     InterceptSolution,

@@ -100,8 +100,7 @@ class _PlanarFlow:
     ``db_i/dx^j`` (the field gradient over ``c``), ``s^i_0 = s_ij y^j``,
     ``s_0 = b^i s_ij y^j`` and ``r_00 = r_ij y^i y^j``; a constant field has
     zero spray.  A one-row numpy evaluation costs about ten times these
-    float stages (the simulator's :class:`parnav.kinematics._PlanarCore` is
-    float-only for the same reason).  Every stage is gated:
+    float stages.  Every stage is gated:
     :class:`OutOfDomainError` where ``c|y| - <y, v_T>`` is not positive (or
     NaN) or ``1 - 2s`` or ``1 + 2|b|^2 - 3s`` is zero, a pole of the spray;
     :class:`InvalidInputError` at ``y = 0``.

@@ -9,22 +9,22 @@ line of sight's orientation fixed, so the range vector shrinks along a
 fixed direction and the relative course is a straight chase in the
 rotating-free frame.
 
-:func:`simulate` integrates the pursuer with fixed-step RK4 and a
-contact-refinement pass that brackets the interception time to ~1e-9 of
-a step.  The inner loop is deliberately scalar-float: per-stage numpy
-round-trips would dominate the cost of sweeping scenario grids.
+:func:`simulate` therefore needs no integrator.  On each
+constant-velocity target leg the sight-line direction, theta, delta, the
+pursuer velocity, F and the closing speed are constants, evaluated once
+at the leg's first node; the range falls linearly, so every node of the
+leg and the contact time inside the last step follow in closed form.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleControlError, InvalidInputError
+from .errors import InfeasibleControlError, InvalidInputError
 from .geodesics import CurveRecord
 
 __all__ = [
@@ -34,12 +34,9 @@ __all__ = [
     "Scenario",
     "SimResult",
     "pn_lead_angle",
-    "polar_rates",
     "simulate",
     "reparametrize_unit_F",
     "relative_course",
-    "reconstruct_pursuer",
-    "target_path",
     "collinearity_defect",
 ]
 
@@ -320,233 +317,140 @@ def pn_lead_angle(theta: float, ratio: float) -> float:
     return math.asin(s / ratio)
 
 
-def polar_rates(
-    target_speed: float, pursuer_speed: float, theta: float, delta: float, r: float
-) -> tuple[float, float]:
-    """Range and sight-line rates ``(dr/dt, dlambda/dt)`` at one instant."""
-    if not (r > 0.0):
-        raise InvalidInputError("range must be positive")
-    rdot = target_speed * math.cos(theta) - pursuer_speed * math.cos(delta)
-    lamdot = (target_speed * math.sin(theta) - pursuer_speed * math.sin(delta)) / r
-    return rdot, lamdot
-
-
 # ---------------------------------------------------------------------------
 # Simulation core
 # ---------------------------------------------------------------------------
 
-
-class _Infeasible(Exception):
-    pass
+_CHUNK = 1 << 20  # most nodes laid out at once; a longer leg continues in further chunks
 
 
-class _AtTarget(Exception):
-    pass
+class _Leg(NamedTuple):
+    """A constant-velocity target leg from its first node on.
+
+    The sight line holds its direction ``(ux, uy)``, so the range falls
+    linearly from ``rho0`` at ``t0`` at the closing speed, and every
+    other per-node quantity stays at its value in ``consts``.
+    """
+
+    seg: _Segment
+    t0: float
+    rho0: float
+    ux: float
+    uy: float
+    closing: float  # -d|r|/dt
+    consts: tuple  # (pvx, pvy, vtx, vty, lam, theta, delta, F)
+
+    def range_at(self, times):
+        return self.rho0 - self.closing * (times - self.t0)
+
+    def table(self, times, rho) -> np.ndarray:
+        """Rows ``(t, r, r_M, r_T, v_M, v_T, lam, theta, delta, F)``, with ``r = rho * u``."""
+        seg = self.seg
+        out = np.empty((times.size, 15))
+        out[:, 0] = times
+        out[:, 1] = self.ux * rho
+        out[:, 2] = self.uy * rho
+        out[:, 5] = seg.px + seg.vx * (times - seg.t0)
+        out[:, 6] = seg.py + seg.vy * (times - seg.t0)
+        np.subtract(out[:, 5:7], out[:, 1:3], out=out[:, 3:5])
+        out[:, 7:] = self.consts
+        return out
 
 
-class _PlanarCore:
-    """Scalar-float integrator state for one planar engagement."""
+def _start_leg(seg, t, mx, my, v_m, eps):
+    """The guidance law at a leg's first node: ``(leg, termination)``.
 
-    def __init__(self, r0x, r0y, segments, v_m, dt, eps, t_max):
-        self.segs = segments
-        self.starts = [s.t0 for s in segments]
-        self.v_m = v_m
-        self.dt = dt
-        self.eps = eps
-        self.t_max = t_max
-        self.r0x, self.r0y = r0x, r0y
+    ``termination`` is None unless the run ends on this node because the
+    control is infeasible or the course leaves the metric's domain; the
+    intercept rule comes first.
+    """
+    dtseg = t - seg.t0
+    tx = seg.px + seg.vx * dtseg
+    ty = seg.py + seg.vy * dtseg
+    gx, gy = tx - mx, ty - my
+    rn = math.hypot(gx, gy)
+    lam = math.atan2(gy, gx)
+    cl, sl = gx / rn, gy / rn
+    if seg.speed > 0.0:
+        sth = seg.sh * cl - seg.ch * sl
+        cth = seg.ch * cl + seg.sh * sl
+        th = math.atan2(sth, cth)
+        sd = seg.speed * sth / v_m
+    else:
+        th, cth, sd = 0.0, 1.0, 0.0
+    if abs(sd) >= 1.0:
+        consts = (math.nan, math.nan, seg.vx, seg.vy, lam, th, math.nan, math.nan)
+        return _Leg(seg, t, rn, cl, sl, math.nan, consts), "intercept" if rn <= eps else "infeasible-control"
+    cd = math.sqrt(1.0 - sd * sd)
+    pvx = v_m * (cl * cd - sl * sd)
+    pvy = v_m * (sl * cd + cl * sd)
+    closing = v_m * cd - seg.speed * cth
+    if closing > 0.0:  # the relative velocity is closing * u, so F = 1 exactly
+        nvc, den = closing, closing * closing
+    else:
+        vcx, vcy = pvx - seg.vx, pvy - seg.vy
+        nvc = math.hypot(vcx, vcy)
+        den = v_m * cd * nvc - (vcx * seg.vx + vcy * seg.vy)
+    F = (nvc * nvc / den) if den > 0.0 else math.nan
+    leg = _Leg(seg, t, rn, cl, sl, closing, (pvx, pvy, seg.vx, seg.vy, lam, th, math.asin(sd), F))
+    return leg, "domain-exit" if den <= 0.0 and rn > eps else None
 
-    # -- stage evaluations (floats only; exceptions mark the rare exits) ----
 
-    def _vel(self, t, px, py, seg) -> tuple[float, float]:
-        dtseg = t - seg.t0
-        gx = seg.px + seg.vx * dtseg - px
-        gy = seg.py + seg.vy * dtseg - py
-        rn2 = gx * gx + gy * gy
-        if rn2 < 1e-60:
-            raise _AtTarget
-        rn = math.sqrt(rn2)
-        cl, sl = gx / rn, gy / rn
-        if seg.speed > 0.0:
-            sth = seg.sh * cl - seg.ch * sl
-            sd = seg.speed * sth / self.v_m
-            if abs(sd) >= 1.0:
-                raise _Infeasible
-            cd = math.sqrt(1.0 - sd * sd)
+def _planar_run(segs, v_m, dt, eps, t_max):
+    """Node table and termination of a planar engagement, leg by leg in closed form.
+
+    Nodes sit ``dt`` apart, summed in order from the previous node, with a
+    short step onto each leg start and onto ``t_max``; a node within 1e-9
+    of a leg start switches to that leg.  Contact inside a step ends the
+    run on a node at the contact time, on the hit sphere.
+    """
+    switch = [s.t0 - 1e-9 * max(1.0, abs(s.t0)) for s in segs[1:]] + [math.inf]
+    t_edge = t_max - 1e-12 * max(1.0, t_max)
+    t, mx, my = 0.0, 0.0, 0.0
+    idx, leg = 0, None
+    chunks = []
+    while True:
+        while t >= switch[idx]:
+            idx, leg = idx + 1, None
+        if leg is None:
+            leg, termination = _start_leg(segs[idx], t, mx, my, v_m, eps)
+            if termination is not None:
+                chunks.append(leg.table(np.array([t]), leg.rho0))
+                break
+        s_next = segs[idx + 1].t0 if idx + 1 < len(segs) else math.inf
+        horizon = min(s_next, t_max) - t
+        if leg.closing > 0.0:
+            horizon = min(horizon, (leg.range_at(t) - eps) / leg.closing)
+        n = int(min(max(horizon / dt, 0.0), _CHUNK)) + 2
+        times = np.add.accumulate(np.concatenate(([t], np.full(n, dt))))
+        rho = leg.range_at(times)
+        span = np.minimum(np.minimum(dt, s_next - times), t_max - times)
+        tau = (rho - eps) / leg.closing if leg.closing > 0.0 else np.full_like(rho, math.inf)
+        event = (times >= switch[idx]) | (rho <= eps) | (times >= t_edge) | (tau <= span) | (span < dt)
+        hits = np.flatnonzero(event)
+        if hits.size == 0:  # the leg runs on past this chunk
+            chunks.append(leg.table(times[:-1], rho[:-1]))
+            t = float(times[-1])
+            continue
+        j = int(hits[0])
+        if times[j] >= switch[idx]:
+            chunks.append(leg.table(times[:j], rho[:j]))
+            t = float(times[j])
         else:
-            sd, cd = 0.0, 1.0
-        vm = self.v_m
-        return vm * (cl * cd - sl * sd), vm * (sl * cd + cl * sd)
-
-    def _substep(self, t, px, py, h, seg) -> tuple[float, float]:
-        v1x, v1y = self._vel(t, px, py, seg)
-        hh = 0.5 * h
-        v2x, v2y = self._vel(t + hh, px + hh * v1x, py + hh * v1y, seg)
-        v3x, v3y = self._vel(t + hh, px + hh * v2x, py + hh * v2y, seg)
-        v4x, v4y = self._vel(t + h, px + h * v3x, py + h * v3y, seg)
-        s = h / 6.0
-        return px + s * (v1x + 2.0 * (v2x + v3x) + v4x), py + s * (v1y + 2.0 * (v2y + v3y) + v4y)
-
-    def _rates(self, t, px, py, seg):
-        """Range and range-rate at (t, pursuer position); rate None if the stage aborts."""
-        dtseg = t - seg.t0
-        tx = seg.px + seg.vx * dtseg
-        ty = seg.py + seg.vy * dtseg
-        gx, gy = tx - px, ty - py
-        rn = math.hypot(gx, gy)
-        try:
-            pvx, pvy = self._vel(t, px, py, seg)
-        except (_Infeasible, _AtTarget):
-            return rn, None
-        rdot = (gx * (seg.vx - pvx) + gy * (seg.vy - pvy)) / rn if rn > 0.0 else 0.0
-        return rn, rdot
-
-    # -- contact refinement ---------------------------------------------
-
-    def _walk_to_contact(self, t, px, py, span, seg):
-        """Earliest contact time/position inside [t, t + span], or None.
-
-        Advances in sub-steps sized from the current range rate so every
-        RK4 evaluation stays on the approach side of the crossing (a
-        stage that straddles the sight-line reversal sees reversed
-        feedback and is worthless), then bisects the last clean bracket
-        down to ~1e-9 of the step for the earliest point with
-        ``|r| <= hit_radius``.
-        """
-        eps = self.eps
-        tau, ax, ay = 0.0, px, py  # clean-side anchor
-        try:
-            for _ in range(200):
-                rn, rdot = self._rates(t + tau, ax, ay, seg)
-                if rn <= eps:
-                    return tau, ax, ay  # anchor already inside (first sub-step overshoot)
-                if rdot is None or rdot >= 0.0:
-                    return None
-                # aim at range eps/2 assuming the current rate, capped at the step end
-                sub = min((rn - 0.5 * eps) / (-rdot), span - tau)
-                if sub <= 0.0:
-                    return None
-                bx, by = self._substep(t + tau, ax, ay, sub, seg)
-                # |r| at the sub-step end decides whether it crossed into the sphere
-                rn2, _ = self._rates(t + tau + sub, bx, by, seg)
-                if rn2 <= eps:
-                    return self._bisect_contact_pair(t, ax, ay, tau, tau + sub, seg)
-                if tau + sub >= span:
-                    return None  # reached the step end still outside the sphere
-                tau, ax, ay = tau + sub, bx, by
-        except (_Infeasible, _AtTarget):
-            return None
-        return None
-
-    def _bisect_contact_pair(self, t, ax, ay, lo, hi, seg):
-        """Bisect [lo, hi] (anchor at lo outside, hi inside) for the earliest contact."""
-        eps = self.eps
-        tol = 1e-9 * self.dt
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            mx, my = self._substep(t + lo, ax, ay, mid - lo, seg)
-            rn, _ = self._rates(t + mid, mx, my, seg)
-            if rn <= eps:
-                hi = mid
-            else:
-                lo, ax, ay = mid, mx, my
-        fx, fy = self._substep(t + lo, ax, ay, hi - lo, seg)
-        return hi, fx, fy
-
-    # -- main loop --------------------------------------------------------
-
-    def run(self):
-        segs, starts = self.segs, self.starts
-        v_m, dt, eps, t_max = self.v_m, self.dt, self.eps, self.t_max
-        t, mx, my = 0.0, 0.0, 0.0
-        idx = 0
-        rows = []  # (t, gx, gy, mx, my, tx, ty, pvx, pvy, vtx, vty, lam, th, de, F)
-        termination = None
-        intercept = False
-        t_edge = t_max - 1e-12 * max(1.0, t_max)
-
-        while True:
-            while idx + 1 < len(segs) and t >= starts[idx + 1] - 1e-9 * max(1.0, abs(starts[idx + 1])):
-                idx += 1
-            seg = segs[idx]
-            dtseg = t - seg.t0
-            tx = seg.px + seg.vx * dtseg
-            ty = seg.py + seg.vy * dtseg
-            gx, gy = tx - mx, ty - my
-            rn = math.hypot(gx, gy)
-
-            if rn < 1e-30:  # exactly on top of the target: angles undefined
-                rows.append((t, gx, gy, mx, my, tx, ty,
-                             math.nan, math.nan, seg.vx, seg.vy, math.nan, math.nan, math.nan, math.nan))
-                termination, intercept = "intercept", True
+            chunks.append(leg.table(times[: j + 1], rho[: j + 1]))
+            if rho[j] <= eps:
+                termination = "intercept"
                 break
-
-            lam = math.atan2(gy, gx)
-            cl, sl = gx / rn, gy / rn
-            if seg.speed > 0.0:
-                sth = seg.sh * cl - seg.ch * sl
-                cth = seg.ch * cl + seg.sh * sl
-                th = math.atan2(sth, cth)
-                sd = seg.speed * sth / v_m
-            else:
-                th, sd = 0.0, 0.0
-
-            feasible = abs(sd) < 1.0
-            if feasible:
-                cd = math.sqrt(1.0 - sd * sd)
-                de = math.asin(sd)
-                pvx = v_m * (cl * cd - sl * sd)
-                pvy = v_m * (sl * cd + cl * sd)
-                vcx, vcy = pvx - seg.vx, pvy - seg.vy
-                nvc = math.hypot(vcx, vcy)
-                den = v_m * cd * nvc - (vcx * seg.vx + vcy * seg.vy)
-                F = (nvc * nvc / den) if den > 0.0 else math.nan
-                rows.append((t, gx, gy, mx, my, tx, ty, pvx, pvy, seg.vx, seg.vy, lam, th, de, F))
-            else:
-                rows.append((t, gx, gy, mx, my, tx, ty,
-                             math.nan, math.nan, seg.vx, seg.vy, lam, th, math.nan, math.nan))
-
-            if rn <= eps:
-                termination, intercept = "intercept", True
-                break
-            if not feasible:
-                termination = "infeasible-control"
-                break
-            if den <= 0.0:
-                termination = "domain-exit"
-                break
-            if t >= t_edge:
+            if times[j] >= t_edge:
                 termination = "timeout"
                 break
-
-            span = dt
-            if idx + 1 < len(segs):
-                span = min(span, starts[idx + 1] - t)
-            span = min(span, t_max - t)
-
-            rdot = (gx * (seg.vx - pvx) + gy * (seg.vy - pvy)) / rn
-            if rdot < 0.0 and rn + 1.25 * span * rdot <= eps:
-                hit = self._walk_to_contact(t, mx, my, span, seg)
-                if hit is not None:
-                    tau, mx, my = hit
-                    t = t + tau
-                    continue  # next node lands inside the hit sphere
-
-            try:
-                mx, my = self._substep(t, mx, my, span, seg)
-            except _Infeasible:
-                termination = "infeasible-control"
+            if tau[j] <= span[j]:
+                chunks.append(leg.table(times[j : j + 1] + tau[j], eps))
+                termination = "intercept"
                 break
-            except _AtTarget:
-                hit = self._walk_to_contact(t, mx, my, span, seg)
-                if hit is None:
-                    raise ConvergenceError("stage evaluation collapsed onto the target without contact")
-                tau, mx, my = hit
-                t = t + tau
-                continue
-            t = t + span
-
-        return rows, termination, intercept
+            t = float(times[j] + span[j])
+        mx, my = leg.table(np.array([t]), leg.range_at(t))[0, 3:5].tolist()
+    return np.concatenate(chunks), termination
 
 
 def _engagement_basis(r0: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -574,12 +478,16 @@ def _engagement_plane(r0: np.ndarray, v: np.ndarray):
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Integrate the engagement until contact, infeasibility, or timeout.
+    """Run the engagement until contact, infeasibility, domain exit or timeout.
 
-    Interception is declared as soon as the range enters the hit sphere
-    ``|r| <= hit_radius``; if that happens inside a step, the crossing
-    time is refined so the final node sits on the sphere to ~1e-9 of a
-    step.  On timeout the final node lands exactly at ``t_max``.
+    Parallel navigation freezes the sight line, so each constant-velocity
+    target leg is a straight chase in closed form: the guidance law is
+    evaluated once at the leg's first node and the range falls linearly
+    at the closing speed.  Nodes are ``dt`` apart.  Interception is
+    declared as soon as the range enters the hit sphere
+    ``|r| <= hit_radius``; contact inside a step is solved in closed form
+    and the final node sits on the sphere.  On timeout the final node
+    lands exactly at ``t_max``.
     """
     basis, r0, program = None, scenario.r0, scenario.program
     if scenario.dim == 3:
@@ -588,10 +496,7 @@ def simulate(scenario: Scenario) -> SimResult:
     r0x, r0y = float(r0[0]), float(r0[1])
     segs = program.planar_segments(r0x, r0y)
 
-    core = _PlanarCore(r0x, r0y, segs, scenario.v_m, scenario.dt, scenario.hit_radius, scenario.t_max)
-    rows, termination, intercept = core.run()
-
-    arr = np.asarray(rows, dtype=float)
+    arr, termination = _planar_run(segs, scenario.v_m, scenario.dt, scenario.hit_radius, scenario.t_max)
     times = arr[:, 0]
     if termination == "timeout":
         times[-1] = scenario.t_max  # snap the ulp-level drift of accumulated steps
@@ -617,7 +522,7 @@ def simulate(scenario: Scenario) -> SimResult:
         delta=arr[:, 13],
         F=arr[:, 14],
         termination=termination,
-        intercept=intercept,
+        intercept=termination == "intercept",
     )
 
 
@@ -680,29 +585,6 @@ def relative_course(result: SimResult) -> CurveRecord:
         velocities=result.v_m - result.v_t,
         F_values=result.F,
     )
-
-
-def reconstruct_pursuer(course: CurveRecord, target_positions) -> np.ndarray:
-    """Recover pursuer positions ``r_M = r_T + x`` from a relative course."""
-    target_positions = np.asarray(target_positions, dtype=float)
-    if target_positions.shape != course.positions.shape:
-        raise InvalidInputError("target positions must match the course grid")
-    return target_positions + course.positions
-
-
-def target_path(scenario: Scenario, times) -> np.ndarray:
-    """Target positions at the given times under the scenario's program."""
-    times = np.asarray(times, dtype=float)
-    if scenario.dim == 3:
-        return scenario.r0[None, :] + times[:, None] * scenario.program.vector[None, :]
-    segs = scenario.program.planar_segments(float(scenario.r0[0]), float(scenario.r0[1]))
-    starts = [s.t0 for s in segs]
-    out = np.empty((times.size, 2))
-    for i, t in enumerate(times):
-        k = bisect.bisect_right(starts, t + 1e-12) - 1
-        seg = segs[max(k, 0)]
-        out[i] = (seg.px + seg.vx * (t - seg.t0), seg.py + seg.vy * (t - seg.t0))
-    return out
 
 
 def collinearity_defect(result: SimResult) -> np.ndarray:

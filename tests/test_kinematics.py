@@ -1,12 +1,15 @@
 """Engagement simulation: guidance law, terminations, reparametrization, 3-d."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from parnav import kinematics
 from parnav import (
     ConstantVelocity,
     InfeasibleControlError,
@@ -17,14 +20,12 @@ from parnav import (
     collinearity_defect,
     nonmaneuvering_intercept,
     pn_lead_angle,
-    polar_rates,
-    reconstruct_pursuer,
     relative_course,
     reparametrize_unit_F,
     simulate,
-    target_path,
 )
 from tests.conftest import CLOSING, DELTA0, TF_SPHERE, THETA0
+from tests.reference import polar_rates, reconstruct_pursuer, simulate_rk4, target_path
 
 
 # --- guidance law -----------------------------------------------------------
@@ -276,3 +277,149 @@ def test_closed_form_tail_chase_and_stationary():
     still = nonmaneuvering_intercept(1000.0, 0.0, pursuer_speed=200.0)
     assert still.t_f == pytest.approx(5.0, rel=1e-15)
     assert still.closing_speed == 200.0
+
+
+# --- closed-form legs -----------------------------------------------------------
+
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+def _direction(azimuth: float, z: float) -> np.ndarray:
+    return np.array([math.sqrt(1.0 - z * z) * math.cos(azimuth), math.sqrt(1.0 - z * z) * math.sin(azimuth), z])
+
+
+@st.composite
+def engagements(draw, kind: str) -> Scenario:
+    """A scenario of one program kind, at most ~2k nodes long at dt = 1e-3."""
+    range0 = draw(st.floats(20.0, 500.0))
+    v_t = draw(st.floats(50.0, 300.0))
+    steps = {"dt": 1e-3, "hit_radius": 10.0 ** draw(st.floats(-4.0, 0.0)), "t_max": draw(st.floats(0.5, 2.0))}
+    bearing = draw(ANGLES)
+    r0 = range0 * np.array([math.cos(bearing), math.sin(bearing)])
+    if kind in ("c2", "c3"):
+        v_m = draw(st.floats(0.6, 3.0)) * v_t
+        if kind == "c2":
+            return Scenario(r0=r0, program=ConstantVelocity(v_t, draw(ANGLES)), v_m=v_m, **steps)
+        r0 = range0 * _direction(bearing, draw(st.floats(-1.0, 1.0)))
+        v = v_t * _direction(draw(ANGLES), draw(st.floats(-1.0, 1.0)))
+        return Scenario(r0=r0, program=ConstantVelocity.from_vector(v), v_m=v_m, **steps)
+    v_m = draw(st.floats(1.2, 3.0)) * v_t
+    top = min(300.0, v_m / 1.2)  # every leg stays feasible and closing
+    n = draw(st.integers(2, 4))
+    if kind == "pw":
+        legs = [(draw(st.floats(0.1, 0.8)), v_t if k == 0 else draw(st.floats(50.0, top)), draw(ANGLES))
+                for k in range(n)]
+        return Scenario(r0=r0, program=PiecewiseConstant(legs), v_m=v_m, **steps)
+    pts = [r0]
+    for _ in range(n):
+        heading = draw(ANGLES)
+        pts.append(pts[-1] + draw(st.floats(20.0, 200.0)) * np.array([math.cos(heading), math.sin(heading)]))
+    return Scenario(r0=r0, program=Waypoints(pts, speed=v_t), v_m=v_m, **steps)
+
+
+def _rotated(scenario: Scenario, angle: float, axis) -> Scenario:
+    """The scenario with r0 and the target's motion turned by ``angle`` (about ``axis`` in 3-d)."""
+    if scenario.dim == 3:
+        k = np.asarray(axis) / np.linalg.norm(axis)
+        K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        R = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+        return scenario.with_(r0=R @ scenario.r0, program=ConstantVelocity.from_vector(R @ scenario.program.vector))
+    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    program = scenario.program
+    if isinstance(program, ConstantVelocity):
+        program = ConstantVelocity.from_vector(R @ program.vector)
+    elif isinstance(program, PiecewiseConstant):
+        program = PiecewiseConstant([(d, v, h + angle) for d, v, h in program.legs])
+    else:
+        program = Waypoints(program.points @ R.T, program.speed)
+    return scenario.with_(r0=R @ scenario.r0, program=program)
+
+
+@pytest.mark.parametrize("kind", ["c2", "c3", "pw", "wp"])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_closed_form_matches_feedback_integration(kind, data):
+    """Each leg in closed form lands where RK4 of the guidance law does, on the same nodes."""
+    scenario = data.draw(engagements(kind))
+    res, ref = simulate(scenario), simulate_rk4(scenario)
+    assert res.termination == ref.termination
+    assert res.n_nodes == ref.n_nodes
+    grid = res.n_nodes - (1 if res.intercept else 0)  # contact: closed form against bisection
+    np.testing.assert_array_equal(res.times[:grid], ref.times[:grid])
+    assert res.t_f == pytest.approx(ref.t_f, rel=1e-8)
+    scale = float(np.linalg.norm(scenario.r0))
+    assert float(np.max(np.abs(res.r - ref.r))) <= 1e-8 * scale
+
+
+def test_step_budget_horizon_stays_bounded():
+    """A horizon of _MAX_STEPS nodes with contact after 1 s lays out only the first second."""
+    dt = 1e-3
+    sc = Scenario.stationary(200.5, 200.0, dt=dt, t_max=kinematics._MAX_STEPS * dt)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        res = simulate(sc)
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.termination == "intercept"
+    assert res.t_f == pytest.approx(1.0, rel=1e-12)
+    assert elapsed < 1.0
+    assert peak < 50e6
+
+
+def test_closing_legs_hold_F_at_exactly_one(example_scenario):
+    """F is identically 1 under parallel navigation; the polar closing speed keeps it without rounding."""
+    legs = [(1.5, 100.0, 0.5), (1.5, 80.0, -0.8), (10.0, 60.0, 2.0)]
+    pts = [(500.0, 0.0), (500.0, 300.0), (200.0, 300.0)]
+    for sc in (example_scenario,
+               Scenario.stationary(1000.0, 200.0),
+               Scenario(r0=np.array([800.0, 0.0]), program=PiecewiseConstant(legs), v_m=220.0),
+               Scenario(r0=np.array([500.0, 0.0]), program=Waypoints(pts, speed=60.0), v_m=150.0),
+               Scenario(r0=np.array([800.0, 300.0, 500.0]),
+                        program=ConstantVelocity.from_vector([30.0, -40.0, 10.0]), v_m=150.0)):
+        res = simulate(sc)
+        assert res.termination == "intercept"
+        assert np.all(res.F == 1.0)
+
+
+def test_long_leg_continues_across_chunks(monkeypatch):
+    """Laying a leg out a few nodes at a time changes no bit of the run."""
+    legs = [(0.0123, 100.0, 0.5), (0.05, 80.0, -0.8), (10.0, 60.0, 2.0)]
+    for sc in (Scenario(r0=np.array([80.0, 0.0]), program=PiecewiseConstant(legs), v_m=220.0),
+               Scenario.nonmaneuvering(1000.0, 100.0, 0.0, ratio=0.8, t_max=0.1)):
+        whole = simulate(sc)
+        monkeypatch.setattr(kinematics, "_CHUNK", 7)
+        chunked = simulate(sc)
+        monkeypatch.undo()
+        assert chunked.termination == whole.termination
+        for name in ("times", "r", "r_m", "r_t", "v_m", "lam", "F"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_three_dimensional_run_is_the_lifted_planar_run(data):
+    sc = data.draw(engagements("c3"))
+    basis = kinematics._engagement_basis(sc.r0, sc.program.vector)
+    planar = sc.with_(r0=basis @ sc.r0, program=ConstantVelocity.from_vector(basis @ sc.program.vector))
+    res, flat = simulate(sc), simulate(planar)
+    assert res.termination == flat.termination
+    np.testing.assert_array_equal(res.times, flat.times)
+    for name in ("r", "r_m", "r_t", "v_m", "v_t"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(flat, name) @ basis)
+    for name in ("lam", "theta", "delta", "F"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(flat, name))
+
+
+@pytest.mark.parametrize("kind", ["c2", "c3", "pw", "wp"])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_rotation_leaves_the_run_unchanged(kind, data):
+    sc = data.draw(engagements(kind))
+    turned = _rotated(sc, data.draw(ANGLES), _direction(data.draw(ANGLES), data.draw(st.floats(-1.0, 1.0))))
+    res, rot = simulate(sc), simulate(turned)
+    assert rot.termination == res.termination
+    assert rot.n_nodes == res.n_nodes
+    assert rot.t_f == pytest.approx(res.t_f, rel=1e-12)
