@@ -453,8 +453,12 @@ def _planar_run(segs, v_m, dt, eps, t_max):
     return np.concatenate(chunks), termination
 
 
-def _engagement_basis(r0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Orthonormal (2, 3) basis of the plane spanned by r0 and v."""
+def _engagement_plane(r0: np.ndarray, v: np.ndarray):
+    """``(basis, basis @ r0, basis @ v)``: a 3-d ``r0`` and velocity in their own plane.
+
+    ``basis`` is an orthonormal (2, 3) basis of the plane spanned by ``r0`` and
+    ``v``, led by ``r0 / |r0|``; plane arrays lift back to 3-d as ``arr @ basis``.
+    """
     e1 = r0 / np.linalg.norm(r0)
     h = v - (v @ e1) * e1
     nh = np.linalg.norm(h)
@@ -464,16 +468,7 @@ def _engagement_basis(r0: np.ndarray, v: np.ndarray) -> np.ndarray:
         probe = np.eye(3)[int(np.argmin(np.abs(e1)))]
         e2 = probe - (probe @ e1) * e1
         e2 /= np.linalg.norm(e2)
-    return np.stack([e1, e2])
-
-
-def _engagement_plane(r0: np.ndarray, v: np.ndarray):
-    """``(basis, basis @ r0, basis @ v)``: a 3-d ``r0`` and velocity in their own plane.
-
-    ``basis`` is :func:`_engagement_basis`; plane arrays lift back to 3-d
-    as ``arr @ basis``.
-    """
-    basis = _engagement_basis(r0, v)
+    basis = np.stack([e1, e2])
     return basis, basis @ r0, basis @ v
 
 

@@ -56,35 +56,11 @@ __all__ = [
     "nonmaneuvering_intercept",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # shooting: horizon in chord lengths; launch-angle increment of the fan that
 # replaces a shot which left the metric domain; cap on the shots per course
 _HORIZON_FACTOR = 3.0
 _FAN_STEP = 0.05
 _MAX_SHOTS = 80
-
-
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal-ish float function ``f`` on ``[a, b]``.
-
-    Stops once the bracket is ``<= tol`` wide and returns ``(x, f(x))``, the
-    best of its last three points, larger ``x`` winning ties.
-    """
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    fx, x = max((f1, x1), (f2, x2), (f(xm), xm))
-    return x, fx
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -197,77 +173,54 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
 
 @dataclass(frozen=True)
 class _Shot:
-    """One geodesic shot: states ``(x1, x2, y1, y2)`` until radial turnaround, plus diagnostics."""
+    """One geodesic shot: states ``(x1, x2, y1, y2)`` on the step grid, ending at its first done point."""
 
     times: list
     states: list
-    miss: float  # signed perpendicular offset of the closest approach
-    tau_star: float  # closest-approach offset from the second-to-last node
+    miss: float  # signed perpendicular offset of the end point
     hit: bool
-
-
-def _range_after(flow: _PlanarFlow, za: tuple, tau: float) -> float:
-    """Range ``|x|`` after an RK4 step of length ``tau`` from the anchor state ``za``."""
-    x1, x2, _, _ = za if tau == 0.0 else flow.step(za, tau)
-    return math.sqrt(x1 * x1 + x2 * x2)
 
 
 def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
     """Fire the unit-F geodesic from ``x0`` at angle ``phi`` on ``flow``, ``metric``'s planar flow (2-d constant
-    or linear field), until it recedes; None if a stage leaves the domain or ``n_max`` steps do not get there."""
+    or linear field), until it is done: inside the hit sphere or no longer approaching the target.
+
+    The march stops at the first done node; a bisection over that step, to ``1e-12 step``, puts the last node
+    on the step's first done point: the contact for a hit, the closest approach for a miss.  None if a stage
+    leaves the domain or ``n_max`` steps do not get done.
+    """
+
+    def done(z) -> bool:
+        x1, x2, y1, y2 = z
+        return math.sqrt(x1 * x1 + x2 * x2) <= eps or x1 * y1 + x2 * y2 >= 0.0
+
     u = np.array([math.cos(phi), math.sin(phi)])
     try:
         z = (*x0.tolist(), *metric.unit_vector(x0, u).tolist())
         times, states = [0.0], [z]
-        for k in range(n_max):
-            z = flow.step(z, step)
-            times.append((k + 1) * step)
-            states.append(z)
-            if z[0] * z[2] + z[1] * z[3] >= 0.0:  # radially receding: closest approach is bracketed
+        for k in range(1, n_max + 1):
+            z = flow.step(states[-1], step)
+            if done(z):
                 break
+            times.append(k * step)
+            states.append(z)
         else:
             return None
+        lo, hi = 0.0, step  # z is the done state at hi
+        while hi - lo > 1e-12 * step:
+            mid = 0.5 * (lo + hi)
+            z_mid = flow.step(states[-1], mid)
+            if done(z_mid):
+                hi, z = mid, z_mid
+            else:
+                lo = mid
     except OutOfDomainError:
         return None
-
-    # refine the closest approach inside the last step
-    za = states[-2]
-    tau_star = _golden_max(lambda tau: -_range_after(flow, za, tau), 0.0, step, 1e-12 * step)[0]
-    x1, x2, y1, y2 = flow.step(za, tau_star) if tau_star > 0.0 else za
+    times.append(times[-1] + hi)
+    states.append(z)
+    x1, x2, y1, y2 = z
     ny = math.sqrt(y1 * y1 + y2 * y2)
-    miss = x1 * (y2 / ny) - x2 * (y1 / ny)
-    return _Shot(times, states, miss, tau_star, math.sqrt(x1 * x1 + x2 * x2) <= eps)
-
-
-def _truncate_at_contact(metric: NavMetric, flow, shot: _Shot, eps: float, step: float) -> CurveRecord:
-    """Cut a hitting shot at the earliest point with ``|x| = hit radius``.
-
-    Bisects on the approach flank, where the range is monotone, so the
-    terminal node lands on the sphere from outside.
-    """
-    norms = [_range_after(flow, z, 0.0) for z in shot.states]
-    j = next((k for k, d in enumerate(norms) if d <= eps), None)
-    if j == 0:
-        raise InvalidInputError("course starts inside the hit sphere")
-    if j is None:
-        # contact lies between the second-to-last node and the refined
-        # closest approach; tau_star bounds it from the inside
-        j = len(norms) - 1
-        hi = shot.tau_star
-    else:
-        hi = shot.times[j] - shot.times[j - 1]
-    za, ta, lo = shot.states[j - 1], shot.times[j - 1], 0.0
-
-    if _range_after(flow, za, hi) > eps:
-        raise ConvergenceError("failed to bracket the hit-sphere crossing")
-    tol = 1e-12 * step
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _range_after(flow, za, mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return _flow_curve(metric, shot.times[:j] + [ta + hi], shot.states[:j] + [flow.step(za, hi)])
+    return _Shot(times, states, x1 * (y2 / ny) - x2 * (y1 / ny), math.sqrt(x1 * x1 + x2 * x2) <= eps)
 
 
 def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: float) -> float:
@@ -355,7 +308,8 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max`` (both decided
     before any shot); in any field, when the hitting geodesic arrives
     after ``t_max``.  :class:`ConvergenceError` is raised when no shot
-    enters the hit sphere (see :func:`_hitting_shot`).  ``field``
+    enters the hit sphere (see :func:`_hitting_shot`), or when the hitting
+    shot's course strays from unit F by more than 1e-9.  ``field``
     overrides the target velocity field (defaults to the scenario's
     constant program); non-constant programs require an explicit field.
     Shots take 2-d constant and linear fields, or 3-d constant ones projected
@@ -399,7 +353,10 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     n_max = int(math.ceil(horizon_steps))
 
     shot = _hitting_shot(metric, flow, x0, eps, step, n_max)
-    curve = _truncate_at_contact(metric, flow, shot, eps, step)
+    curve = _flow_curve(metric, shot.times, shot.states)
+    unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
+    if not unit_defect <= 1e-9:
+        raise ConvergenceError(f"the hitting geodesic is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})")
     _require_arrival(float(curve.times[-1]), scenario.t_max)
     if basis is None:
         return curve

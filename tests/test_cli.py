@@ -438,7 +438,7 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch):
 
 def test_shooting_failure_names_shots_and_best_miss(tmp_path, monkeypatch, capsys):
     def never_hits(metric, f, x0, phi, *rest):  # the aim at the origin is phi = 0 and misses least
-        return optimal._Shot([], [], 0.5 + phi * phi, 0.0, False)
+        return optimal._Shot([], [], 0.5 + phi * phi, False)
 
     monkeypatch.setattr(optimal, "_shoot", never_hits)
     path = write_scenario(tmp_path, scenario_doc())
@@ -446,6 +446,52 @@ def test_shooting_failure_names_shots_and_best_miss(tmp_path, monkeypatch, capsy
     assert code == 5
     err = capsys.readouterr().err
     assert f"in {optimal._MAX_SHOTS} shots; best |miss| 0.5 at launch angle 0 rad" in err
+
+
+def _stationary_shear(r0, base, gradient):
+    return {
+        "schema_version": 1,
+        "scenario": {"r0": r0, "target": {"type": "constant", "velocity": [0.0, 0.0]},
+                     "pursuer_speed": 2.0, "hit_radius": 0.01, "t_max": 10.0},
+        "metric": {"field": {"type": "linear", "base": base, "gradient": gradient}},
+    }
+
+
+# Shear fields whose geodesics to the target cross the non-convex part of the metric (1 + 2|b|^2 - 3s < 0),
+# where RK4 loses unit F and shots are chaotic in the launch angle, so the test pins the exit code only:
+# "nonconvex" once came back as an "optimal" course with max |F - 1| = 0.0351, "off-unit" with 0.0093.
+_NONCONVEX_SHEAR = {
+    "nonconvex": _stationary_shear(
+        [-0.27321809125983754, -2.59905423986704], [0.18536401952866788, -0.23155152629423187],
+        [[-0.38049249454531753, 0.18879945050950697], [1.0682459731480611, -0.48577471011832263]]),
+    "off-unit": _stationary_shear(
+        [-0.9375306831075645, -1.3558493900218187], [-0.275851994672138, -0.039014550843204376],
+        [[-0.2346025873374019, -0.3343740506814262], [-0.41704665996107426, -0.27465643601244616]]),
+}
+
+
+@pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
+@pytest.mark.parametrize("case", sorted(_NONCONVEX_SHEAR))
+def test_course_off_unit_F_is_a_numerical_failure(tmp_path, capsys, case, mode):
+    path = write_scenario(tmp_path, _NONCONVEX_SHEAR[case])
+    code = cli.main([mode, str(path), "--out", str(tmp_path / "x.out"), "--quiet"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_hitting_course_off_unit_F_names_the_defect(tmp_path, monkeypatch, capsys):
+    real = optimal._hitting_shot
+
+    def stretched(*args):  # F is 1-homogeneous in the velocity: F = 1.001 on every node
+        shot = real(*args)
+        return dataclasses.replace(shot, states=[(x1, x2, 1.001 * y1, 1.001 * y2) for x1, x2, y1, y2 in shot.states])
+
+    monkeypatch.setattr(optimal, "_hitting_shot", stretched)
+    mode, scenario, _, field = _TABLE_CASES["optimal-shear"]
+    path = write_scenario(tmp_path, {"schema_version": 1, "scenario": scenario, "metric": {"field": field}})
+    code = cli.main([mode, str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
+    assert code == 5
+    assert "the hitting geodesic is not unit-F parametrized (max |F - 1| = 0.001)" in capsys.readouterr().err
 
 
 def test_domain_exit_exit_code(tmp_path, monkeypatch):

@@ -402,7 +402,7 @@ def test_long_leg_continues_across_chunks(monkeypatch):
 @given(data=st.data())
 def test_three_dimensional_run_is_the_lifted_planar_run(data):
     sc = data.draw(engagements("c3"))
-    basis = kinematics._engagement_basis(sc.r0, sc.program.vector)
+    basis = kinematics._engagement_plane(sc.r0, sc.program.vector)[0]
     planar = sc.with_(r0=basis @ sc.r0, program=ConstantVelocity.from_vector(basis @ sc.program.vector))
     res, flat = simulate(sc), simulate(planar)
     assert res.termination == flat.termination

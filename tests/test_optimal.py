@@ -36,7 +36,7 @@ from parnav import (
     simulate,
 )
 from parnav.geodesics import _PlanarFlow
-from parnav.optimal import _golden_max, _next_launch_angle
+from parnav.optimal import _next_launch_angle
 from tests.conftest import CLOSING, DELTA0, THETA0
 from tests.reference import geodesic_field, rk4_step, spray_many
 
@@ -155,36 +155,6 @@ def test_maximized_hamiltonian_raises_where_the_direction_does_not_close():
         maximized_hamiltonian(metric, x, p, d)
     with pytest.raises(OutOfDomainError):
         _reference_scan(_scalar_score(metric, x, p, d))
-
-
-def _staircase(a, width, centre, flat, levels):
-    """A peak at ``a + centre width``, flat for ``flat width`` either side; ``levels`` > 0 rounds it to steps."""
-    c, w = a + centre * width, flat * width
-
-    def f(x):
-        u = max(abs(x - c) - w, 0.0) / width
-        return -float(math.floor(u * levels)) if levels else -u * u
-
-    return f
-
-
-@settings(max_examples=80)
-@given(
-    offset=st.floats(-100.0, 100.0),
-    width=st.floats(1e-6, 10.0),
-    centre=st.floats(-0.2, 1.2),
-    flat=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-    levels=st.sampled_from([0, 3, 1000]),
-    tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
-)
-def test_golden_max_matches_the_reference_golden_loop(offset, width, centre, flat, levels, tol):
-    """Peaks inside and outside the bracket, plateaus and staircases (ties): the same bits."""
-    # the bracket [a, a + width] sits within 100 widths of 0, so a 1e-12-wide one is still many ulps
-    a = offset * width
-    f = _staircase(a, width, centre, flat, levels)
-    x, fx = _golden_max(f, a, a + width, tol * width)
-    h, d = _reference_golden(f, a, a + width, tol * width)
-    assert (x.hex(), fx.hex()) == (d.hex(), h.hex())
 
 
 def test_pmp_check_requires_unit_course(example_metric):
@@ -541,6 +511,60 @@ def test_shot_leaving_the_domain_is_dropped():
     # the course of test_partial_curve_on_domain_exit, aimed at the origin: step 4 leaves the domain
     m = NavMetric(NavMetricParams(1.0, 0.0), LinearField([0.0, 0.0], [[0.0, 4.0], [-4.0, 0.0]]))
     assert optimal._shoot(m, _PlanarFlow(m), np.array([-1.0, 0.0]), 0.0, 0.5, 20, 0.01) is None
+
+
+def test_shot_refinement_leaving_the_domain_is_dropped():
+    # the march stays in the domain, but an RK4 step inside its last step does not: the shot is
+    # dropped (or ends elsewhere), it does not abort the solve with OutOfDomainError
+    m = NavMetric(
+        NavMetricParams(2.0, 0.0),
+        LinearField(
+            [-0.05492369411735343, 0.0045482589579532995],
+            [[-0.09619514146883779, -0.5909027195420594], [-0.66472316369768, -0.7353912370376262]],
+        ),
+    )
+    x0 = np.array([1.9945814458448525, 0.6790224879952991])
+    step = m.F(x0, -x0) / 512.0
+    shot = optimal._shoot(m, _PlanarFlow(m), x0, -2.8122424259854664, step, 1536, 0.01)
+    assert shot is None or isinstance(shot, optimal._Shot)
+
+    # a flow that leaves the domain on every partial step: the end-point search itself is dropped
+    flow = _PlanarFlow(m)
+    full_step = flow.step
+
+    def partial_steps_leave(z, h):
+        if h != step:
+            raise OutOfDomainError("partial step")
+        return full_step(z, h)
+
+    flow.step = partial_steps_leave
+    assert optimal._shoot(m, flow, x0, -2.8122424259854664, step, 1536, 0.01) is None
+
+
+@pytest.mark.parametrize("offset, hit", [(-0.3, True), (0.0, False)], ids=["hit", "miss"])
+def test_shot_ends_at_its_first_done_point(shear_metric, offset, hit):
+    # 1e-12 step before its last node the course is still outside the sphere and approaching; at
+    # the node a hit is inside the sphere, and a miss has stopped approaching (closest approach)
+    x0, eps = np.array([-1.6, 0.9]), 0.05
+    step = shear_metric.F(x0, -x0) / 512.0
+    flow = _PlanarFlow(shear_metric)
+    shot = optimal._shoot(shear_metric, flow, x0, math.atan2(-x0[1], -x0[0]) + offset, step, 2000, eps)
+    assert shot.hit is hit
+
+    def range_and_rate(z):
+        x1, x2, y1, y2 = z
+        return math.sqrt(x1 * x1 + x2 * x2), x1 * y1 + x2 * y2
+
+    tau = shot.times[-1] - shot.times[-2]
+    assert 0.0 < tau <= step
+    r_before, rate_before = range_and_rate(flow.step(shot.states[-2], tau - 1e-12 * step))
+    r_end, rate_end = range_and_rate(shot.states[-1])
+    assert r_before > eps and rate_before < 0.0
+    if hit:
+        assert r_end <= eps and rate_end < 0.0
+    else:
+        assert r_end > eps and rate_end >= 0.0
+        assert abs(abs(shot.miss) - r_end) <= 1e-12 * r_end
 
 
 class _AnyField:
