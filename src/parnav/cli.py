@@ -4,11 +4,12 @@ Four modes on one scenario-file format: ``simulate`` (parallel-navigation
 run), ``optimal`` (time-optimal course by geodesic shooting),
 ``pmp-check`` (optimality certificate for that course), and ``sweep``
 (closed-form vs. simulated interception time over a K x theta0 grid).
-All outputs are deterministic: floats are serialized with ``repr`` (the
-shortest round-trip form), JSON keys are sorted, and no timestamps or
-absolute paths are embedded.  Every run also writes a small record JSON
-with a digest of the canonicalized scenario for provenance; the table and
-the record are put in place together or not at all.
+All outputs are deterministic: floats are serialized as ``repr`` writes
+them (the shortest round-trip form; tables get those bytes from the numpy
+kernel in :mod:`parnav._floatfmt`), JSON keys are sorted, and no
+timestamps or absolute paths are embedded.  Every run also writes a small
+record JSON with a digest of the canonicalized scenario for provenance;
+the table and the record are put in place together or not at all.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible control, 4 unreachable
 target, 5 numerical failure.
@@ -17,6 +18,7 @@ target, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -217,15 +219,55 @@ def _fstr(x: float) -> str:
     return repr(float(x))
 
 
+def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(col, return_inverse=True)`` by a stable sort, which takes monotone runs, such as
+    the time and position columns, in linear time."""
+    order = col.argsort(kind="stable")
+    ranked = col[order]
+    new = np.empty(col.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    inverse = np.empty(col.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
+
+
 def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Write ``table`` under ``header``, one row per line, each float as its ``repr``.
 
-    A column calls ``repr`` once per distinct bit pattern, so ``-0.0`` and NaN keep theirs."""
-    cols = []
-    for col in np.ascontiguousarray(table.T, dtype=float):
-        bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        cols.append(np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse])
-    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
+    Each column is reduced to its distinct bit patterns, so ``-0.0`` and
+    NaN keep theirs, and one :func:`parnav._floatfmt.format_floats` call
+    renders the distinct values of all columns.  Each cell is copied into
+    a slot one byte wider than its column's longest text, whose last byte
+    is the separator; the zero bytes that pad the texts are deleted from
+    the file buffer, which is written once."""
+    from ._floatfmt import format_floats  # here, so that runs writing no table do not import it
+
+    table = np.asarray(table, dtype=float)
+    head = (",".join(header) + "\n").encode()
+    if table.size == 0:
+        path.write_bytes(head)
+        return
+    distinct, inverses = [], []
+    for col in np.ascontiguousarray(table.T).view(np.int64):
+        bits, inverse = _distinct(col)
+        distinct.append(bits)
+        inverses.append(inverse)
+    chars, lengths = format_floats(np.concatenate(distinct).view(np.float64))
+    starts = np.cumsum([0] + [len(bits) for bits in distinct]).tolist()
+    slots = np.cumsum([0] + [int(lengths[a:b].max()) + 1 for a, b in zip(starts, starts[1:])]).tolist()
+    rows = table.shape[0]
+    text = bytearray(len(head) + rows * slots[-1])
+    text[:len(head)] = head
+    body = np.frombuffer(text, dtype=np.uint8, offset=len(head)).reshape(rows, -1)
+    cells = np.empty((rows, chars.shape[1]), dtype=np.uint8)
+    for j, inverse in enumerate(inverses):
+        chars[starts[j]:starts[j + 1]].take(inverse, axis=0, out=cells)
+        a, sep = slots[j], slots[j + 1] - 1
+        body[:, a:sep] = cells[:, :sep - a]
+        body[:, sep] = ord(",")
+    body[:, -1] = ord("\n")
+    path.write_bytes(text.translate(None, b"\0"))
 
 
 def _jsonable(obj):
@@ -456,7 +498,9 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``parnav`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="parnav", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
 

@@ -37,6 +37,7 @@ from .geodesics import (
     _flow_curve,
     _time_derivative,
     _trapezoid,
+    curve_from_arrays,
     euler_lagrange_residual,
     spray_coefficients,
 )
@@ -299,17 +300,19 @@ def _require_arrival(t_f: float, t_max: float) -> None:
 def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = None) -> CurveRecord:
     """Time-optimal course from ``-r0`` to the hit sphere at zero lead angle.
 
-    The course is a geodesic of the zero-lead navigation metric, found by
-    shooting on the launch angle; the returned record is parametrized by
-    time (equivalently, by metric length).  :class:`UnreachableError` is
-    raised when that course cannot reach the target: in a constant field,
-    whose only geodesic to the origin is the straight chord, when the
-    chord does not close or its closed-form time to the hit sphere,
-    ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max`` (both decided
-    before any shot); in any field, when the hitting geodesic arrives
-    after ``t_max``.  :class:`ConvergenceError` is raised when no shot
-    enters the hit sphere (see :func:`_hitting_shot`), or when the hitting
-    shot's course strays from unit F by more than 1e-9.  ``field``
+    The course is a geodesic of the zero-lead navigation metric; the
+    returned record is parametrized by time (equivalently, by metric
+    length).  In a constant field, whose only geodesic to the origin is
+    the straight chord, the course is that chord in closed form on the
+    shooter's grid, and no geodesic is shot; otherwise it is found by
+    shooting on the launch angle.  :class:`UnreachableError` is raised
+    when the course cannot reach the target: in a constant field, when
+    the chord does not close or its closed-form time to the hit sphere,
+    ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max``; in any other
+    field, when the hitting geodesic arrives after ``t_max``.
+    :class:`ConvergenceError` is raised when no shot enters the hit sphere
+    (see :func:`_hitting_shot`), or when the course strays from unit F by
+    more than 1e-9.  ``field``
     overrides the target velocity field (defaults to the scenario's
     constant program); non-constant programs require an explicit field.
     Shots take 2-d constant and linear fields, or 3-d constant ones projected
@@ -347,13 +350,19 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     horizon_steps = _HORIZON_FACTOR * t_hat / step
     if horizon_steps > _MAX_STEPS:  # every shot keeps its states
         raise InvalidInputError(f"step {step!r} lets a shot exceed the step budget of {_MAX_STEPS:.3g}")
-    if isinstance(field, ConstantField):  # the chord is the course: its arrival time is known before any shot
+    if isinstance(field, ConstantField):
+        # the chord is the course, in closed form on the shooter's grid: nodes k step before contact,
+        # then the contact at F_0(x0, -x0) (|x0| - eps) / |x0|
         range0 = float(np.linalg.norm(x0))
-        _require_arrival(t_hat * (range0 - eps) / range0, scenario.t_max)
-    n_max = int(math.ceil(horizon_steps))
-
-    shot = _hitting_shot(metric, flow, x0, eps, step, n_max)
-    curve = _flow_curve(metric, shot.times, shot.states)
+        t_contact = t_hat * (range0 - eps) / range0
+        _require_arrival(t_contact, scenario.t_max)
+        grid = step * np.arange(math.ceil(t_contact / step) + 1)
+        times = np.append(grid[grid < t_contact], t_contact)
+        y0 = metric.unit_vector(x0, -x0 / range0)
+        curve = curve_from_arrays(metric, times, x0 + times[:, None] * y0, np.tile(y0, (times.size, 1)))
+    else:
+        shot = _hitting_shot(metric, flow, x0, eps, step, int(math.ceil(horizon_steps)))
+        curve = _flow_curve(metric, shot.times, shot.states)
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not unit_defect <= 1e-9:
         raise ConvergenceError(f"the hitting geodesic is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})")

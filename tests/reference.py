@@ -13,10 +13,12 @@ solves.  :func:`polar_rates`, :func:`reconstruct_pursuer` and
 :func:`target_path` are the engagement identities the tests check runs
 against.
 
-``parnav.cli.write_csv`` formats each distinct float of a column once.
-The row-wise tables and writer at the end of this module are the CLI's
-earlier format, one ``repr(float(v))`` per cell, so tests can hold the
-columnar writer to the same bytes.
+``parnav.cli.write_csv`` renders the distinct floats of a whole table
+with the numpy kernel of ``parnav._floatfmt`` and assembles the file as
+one byte buffer.  The row-wise tables and writer at the end of this
+module are the CLI's earlier format, one ``repr(float(v))`` per cell,
+joined row by row, so tests can hold the kernel and the columnar writer
+to the same bytes.
 """
 
 import bisect

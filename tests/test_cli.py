@@ -441,7 +441,7 @@ def test_shooting_failure_names_shots_and_best_miss(tmp_path, monkeypatch, capsy
         return optimal._Shot([], [], 0.5 + phi * phi, False)
 
     monkeypatch.setattr(optimal, "_shoot", never_hits)
-    path = write_scenario(tmp_path, scenario_doc())
+    path = write_scenario(tmp_path, scenario_doc(metric={"field": _SHEAR}))  # constant fields take no shot
     code = cli.main(["optimal", str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
     assert code == 5
     err = capsys.readouterr().err

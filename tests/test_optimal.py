@@ -36,6 +36,7 @@ from parnav import (
     simulate,
 )
 from parnav.geodesics import _PlanarFlow
+from parnav.kinematics import _engagement_plane
 from parnav.optimal import _next_launch_angle
 from tests.conftest import CLOSING, DELTA0, THETA0
 from tests.reference import geodesic_field, rk4_step, spray_many
@@ -328,6 +329,37 @@ def test_late_constant_field_chord_is_unreachable_before_any_shot(example_scenar
     # the chord arrives at 999.5/150 = 6.66333
     with pytest.raises(UnreachableError, match=r"t=6\.66333, after t_max=6"):
         optimal_trajectory(example_scenario.with_(t_max=6.0))
+
+
+# (r0, target velocity, v_m, hit radius): 2-d and 3-d constant-field engagements
+_CHORDS = [
+    ([1000.0, 0.0], [50.0, 86.60254037844386], 200.0, 0.5),
+    ([-340.0, 1250.0], [-120.0, 35.0], 260.0, 0.01),
+    ([800.0, -300.0, 250.0], [60.0, 70.0, -20.0], 235.0, 0.5),
+    ([-90.0, 40.0, 700.0], [0.0, 150.0, 10.0], 410.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("r0, v, v_m, hit", _CHORDS)
+def test_constant_field_course_is_the_hitting_shot_in_closed_form(monkeypatch, r0, v, v_m, hit):
+    sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(np.array(v)), v_m=v_m, hit_radius=hit)
+    basis, x0, field = None, -sc.r0, ConstantField(np.array(v))
+    if sc.dim == 3:
+        basis, r0_plane, v_plane = _engagement_plane(sc.r0, field.value)
+        x0, field = -r0_plane, ConstantField(v_plane)
+    metric = NavMetric(NavMetricParams(v_m, 0.0), field)
+    step = metric.F(x0, -x0) / 512.0
+    shot = optimal._hitting_shot(metric, _PlanarFlow(metric), x0, hit, step, 3 * 512 + 1)
+    shot_positions = np.array(shot.states)[:, :2]
+    if basis is not None:
+        shot_positions = shot_positions @ basis
+
+    monkeypatch.setattr(optimal, "_shoot", lambda *args: pytest.fail("a geodesic was shot"))
+    course = optimal_trajectory(sc)
+    assert course.n_nodes == len(shot.times)
+    assert abs(course.times[-1] - shot.times[-1]) <= 1e-12 * shot.times[-1]
+    assert np.max(np.abs(course.positions - shot_positions)) <= 1e-12 * np.linalg.norm(r0)
+    assert np.all(np.diff(course.times) > 0.0) and np.max(np.abs(course.F_values - 1.0)) <= 1e-12
 
 
 def _log_shots(patch, veto=lambda n: False):
