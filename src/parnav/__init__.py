@@ -3,14 +3,16 @@
 The package is organized by layer:
 
 - :mod:`parnav.metric`: the navigation metric, its domain, closed-form
-  gradients, fundamental tensor, and alpha-beta cross-checks;
+  gradients, fundamental tensor and strong-convexity margin;
 - :mod:`parnav.geodesics`: the one planar geodesic flow (closed-form
   spray and RK4 step), the Berwald connection, geodesic integration,
   action integrals, Euler-Lagrange residuals;
 - :mod:`parnav.kinematics`: engagement simulation under the
   parallel-navigation law, reparametrization, diagnostics;
-- :mod:`parnav.optimal`: Pontryagin-style optimality certificates,
-  geodesic shooting, closed-form interception, monotonicity checks;
+- :mod:`parnav.optimal`: Pontryagin-style optimality certificates, the
+  time-optimal course (a closed-form chord in constant fields, geodesic
+  shooting in planar linear ones), closed-form interception,
+  monotonicity checks;
 - :mod:`parnav.cli`: the ``parnav`` command.
 """
 
@@ -26,14 +28,12 @@ from .errors import (
     UnreachableError,
 )
 from .metric import (
-    AlphaBetaMetric,
     ConstantField,
     LinearField,
     MetricValue,
     NavMetric,
     NavMetricParams,
     as_field,
-    matsumoto_form,
     strong_convexity_margin,
 )
 from .geodesics import (

@@ -299,15 +299,9 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
         raise PartialCurveError("geodesic endpoint left the metric domain", partial=None) from exc
 
 
-def action_integral(metric, curve: CurveRecord, lagrangian: str = "F") -> float:
-    """Trapezoidal ``integral L(x, v) dt`` along the curve; L is F or F^2."""
-    if lagrangian == "F":
-        vals = curve.F_values
-    elif lagrangian == "energy":
-        vals = curve.F_values**2
-    else:
-        raise InvalidInputError(f"unknown lagrangian {lagrangian!r}")
-    return float(_trapezoid(vals, curve.times))
+def action_integral(metric, curve: CurveRecord) -> float:
+    """Trapezoidal metric length ``integral F(x, v) dt`` along the curve."""
+    return float(_trapezoid(curve.F_values, curve.times))
 
 
 def euler_lagrange_residual(metric, curve: CurveRecord, energy_scale: float = 0.5) -> np.ndarray:

@@ -32,8 +32,6 @@ __all__ = [
     "NavMetricParams",
     "MetricValue",
     "NavMetric",
-    "AlphaBetaMetric",
-    "matsumoto_form",
     "strong_convexity_margin",
 ]
 
@@ -250,73 +248,6 @@ class NavMetric:
         """Rescale ``direction`` to unit metric length (F = 1)."""
         direction = np.asarray(direction, dtype=float)
         return direction / self.F(x, direction)
-
-
-# ---------------------------------------------------------------------------
-# Alpha-beta metrics (Riemannian norm alpha, one-form beta)
-# ---------------------------------------------------------------------------
-
-
-class AlphaBetaMetric:
-    """Randers (`alpha + beta`) or Matsumoto (`alpha^2 / (alpha - beta)`) metric.
-
-    ``a`` is the symmetric positive-definite matrix of the Riemannian
-    part, ``b`` the covector of the one-form.  Both are position
-    independent here: this class exists for cross-checks against the
-    navigation metric's Matsumoto form, not as a general alpha-beta
-    implementation.
-    """
-
-    KINDS = ("randers", "matsumoto")
-
-    def __init__(self, kind: str, a, b):
-        if kind not in self.KINDS:
-            raise InvalidInputError(f"kind must be one of {self.KINDS}, got {kind!r}")
-        self.kind = kind
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise InvalidInputError("a must be a square matrix")
-        if not np.allclose(self.a, self.a.T):
-            raise InvalidInputError("a must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.a) <= 0.0):
-            raise InvalidInputError("a must be positive definite")
-        if self.b.shape != (self.a.shape[0],):
-            raise InvalidInputError("b must be a vector matching a")
-        self.dim = self.b.size
-
-    def value(self, x, y) -> MetricValue:
-        y = np.asarray(y, dtype=float)
-        alpha = float(np.sqrt(y @ self.a @ y))
-        if alpha == 0.0:
-            raise InvalidInputError("metric is undefined at the zero velocity")
-        beta = float(y @ self.b)
-        if self.kind == "randers":
-            val = alpha + beta
-            return MetricValue(val if val > 0.0 else math.nan, val, val > 0.0)
-        den = alpha - beta
-        if den > 0.0:
-            return MetricValue(alpha * alpha / den, den, True)
-        return MetricValue(math.nan, den, False)
-
-    def F(self, x, y) -> float:
-        mv = self.value(x, y)
-        if not mv.in_domain:
-            raise OutOfDomainError(f"outside {self.kind} domain (denominator {mv.denominator:.6g})")
-        return mv.value
-
-
-def matsumoto_form(params: NavMetricParams, v_t) -> tuple[float, AlphaBetaMetric]:
-    """Express the navigation metric at one point in Matsumoto form.
-
-    Returns ``(scale, metric)`` with ``F_nav(x, y) = scale * metric.F(x, y)``
-    for every ``y``, where ``v_t`` is the target velocity at the point of
-    interest: ``alpha = |y|``, ``beta = <y, v_T/(v_M cos delta)>``, and
-    ``scale = 1/(v_M cos delta)``.
-    """
-    v_t = np.asarray(v_t, dtype=float)
-    c = params.v_m * params.cos_delta
-    return 1.0 / c, AlphaBetaMetric("matsumoto", np.eye(v_t.size), v_t / c)
 
 
 def strong_convexity_margin(params: NavMetricParams, v_t) -> float:

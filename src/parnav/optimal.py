@@ -41,7 +41,7 @@ from .geodesics import (
     euler_lagrange_residual,
     spray_coefficients,
 )
-from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _engagement_plane, _resolve_speed, pn_lead_angle
+from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _resolve_speed, pn_lead_angle
 from .metric import ConstantField, NavMetric, NavMetricParams
 
 __all__ = [
@@ -91,13 +91,12 @@ class OptimalityReport:
     max_control_gap: float
     max_adjoint_residual: float
     max_el_residual: float
-    max_abs_delta_star: float
     passed: bool
     hamiltonians: np.ndarray
     control_gaps: np.ndarray
     adjoint_residuals: np.ndarray
     el_residuals: np.ndarray
-    delta_stars: np.ndarray
+    max_abs_delta_star = 0.0  # the lead angle's maximum is delta* = 0 in closed form
 
     def summary(self) -> dict:
         return {
@@ -140,7 +139,7 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
     F, dFdv, dFdx = metric.gradients_many(X, V)
     P = F[:, None] * dFdv
     pV = _row_dots(P, V)
-    hams, dstars = pV / F - 1.0, np.zeros_like(F)
+    hams = pV / F - 1.0
     gaps = hams - (pV - F)
     adj = np.linalg.norm(_time_derivative(P, curve.times) - dFdx, axis=1)
 
@@ -152,7 +151,6 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
         max_control_gap=float(np.max(np.abs(gaps))),
         max_adjoint_residual=float(np.max(adj)),
         max_el_residual=float(np.max(el)),
-        max_abs_delta_star=float(np.max(np.abs(dstars))),
         passed=bool(
             np.max(np.abs(hams)) <= 1e-4
             and np.max(np.abs(gaps)) <= 1e-6
@@ -163,7 +161,6 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
         control_gaps=gaps,
         adjoint_residuals=adj,
         el_residuals=el,
-        delta_stars=dstars,
     )
 
 
@@ -304,20 +301,23 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     returned record is parametrized by time (equivalently, by metric
     length).  In a constant field, whose only geodesic to the origin is
     the straight chord, the course is that chord in closed form on the
-    shooter's grid, and no geodesic is shot; otherwise it is found by
-    shooting on the launch angle.  :class:`UnreachableError` is raised
-    when the course cannot reach the target: in a constant field, when
-    the chord does not close or its closed-form time to the hit sphere,
+    shooter's grid, laid out in the scenario's own dimension, and no
+    geodesic is shot; otherwise it is found by shooting on the launch
+    angle.  :class:`UnreachableError` is raised when the course cannot
+    reach the target: in a constant field, when the chord does not close
+    or its closed-form time to the hit sphere,
     ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max``; in any other
     field, when the hitting geodesic arrives after ``t_max``.
     :class:`ConvergenceError` is raised when no shot enters the hit sphere
     (see :func:`_hitting_shot`), or when the course strays from unit F by
-    more than 1e-9.  ``field``
-    overrides the target velocity field (defaults to the scenario's
-    constant program); non-constant programs require an explicit field.
-    Shots take 2-d constant and linear fields, or 3-d constant ones projected
-    into the engagement plane; others raise :class:`InvalidInputError`, as does
-    a ``step`` not positive and finite or over the step budget (1e7 a shot).
+    more than 1e-9.  ``field`` overrides the target velocity field
+    (defaults to the scenario's constant program); non-constant programs
+    require an explicit field.  Shots take 2-d linear fields; other
+    non-constant fields, a field whose dimension is not the scenario's,
+    and a ``step`` not positive and finite or over the step budget (1e7 a
+    shot) raise :class:`InvalidInputError`.  The default step is ``t_hat /
+    512`` with ``t_hat = F_0(x0, -x0)``, or ``|x0| / v_M`` in a linear
+    field whose straight chord does not close.
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -326,34 +326,28 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
             raise InvalidInputError("non-constant programs need an explicit velocity field")
         field = ConstantField(scenario.program.vector)
 
-    basis = None
-    if scenario.dim == 3:
-        if not isinstance(field, ConstantField):
-            raise InvalidInputError("3-d courses are supported for constant fields only")
-        basis, r0, v = _engagement_plane(scenario.r0, field.value)
-        x0 = -r0
-        field = ConstantField(v)
-    else:
-        x0 = -scenario.r0.astype(float)
-
+    x0 = -scenario.r0.astype(float)
     metric = NavMetric(NavMetricParams(scenario.v_m, 0.0), field)
-    flow = _PlanarFlow(metric)
+    constant = isinstance(field, ConstantField)
+    flow = None if constant else _PlanarFlow(metric)  # refuses every field but a 2-d constant or linear one
+    if metric.dim != x0.size:
+        raise InvalidInputError(f"a {metric.dim}-d field cannot steer a {x0.size}-d course")
     eps = scenario.hit_radius
+    range0 = float(np.linalg.norm(x0))
 
-    if isinstance(field, ConstantField) and not metric.value(x0, -x0).in_domain:
+    # time scale: metric length of the straight chord to the origin, or its pursuer time where it does not close
+    chord = metric.value(x0, -x0)
+    if constant and not chord.in_domain:
         raise UnreachableError("the straight zero-lead course does not close on the target")
-
-    # time scale: metric length of the straight chord to the origin
-    t_hat = metric.F(x0, -x0)
+    t_hat = chord.value if chord.in_domain else range0 / scenario.v_m
     if step is None:
         step = t_hat / 512.0
     horizon_steps = _HORIZON_FACTOR * t_hat / step
     if horizon_steps > _MAX_STEPS:  # every shot keeps its states
         raise InvalidInputError(f"step {step!r} lets a shot exceed the step budget of {_MAX_STEPS:.3g}")
-    if isinstance(field, ConstantField):
+    if constant:
         # the chord is the course, in closed form on the shooter's grid: nodes k step before contact,
         # then the contact at F_0(x0, -x0) (|x0| - eps) / |x0|
-        range0 = float(np.linalg.norm(x0))
         t_contact = t_hat * (range0 - eps) / range0
         _require_arrival(t_contact, scenario.t_max)
         grid = step * np.arange(math.ceil(t_contact / step) + 1)
@@ -367,9 +361,7 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     if not unit_defect <= 1e-9:
         raise ConvergenceError(f"the hitting geodesic is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})")
     _require_arrival(float(curve.times[-1]), scenario.t_max)
-    if basis is None:
-        return curve
-    return CurveRecord(curve.times, curve.positions @ basis, curve.velocities @ basis, curve.F_values)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +382,9 @@ def monotonicity_check(
     metric: NavMetric,
     n_samples: int = 2000,
     seed: int = 0,
-    delta_range: tuple[float, float] = (-1.3, 1.3),
-    x_scale: float = 1.0,
     y_scale: float = 1.0,
 ) -> MonotonicityReport:
-    """Sample ``(x, y, delta)`` and measure ``max(F_0 - F_delta)``.
+    """Sample ``(x, y, delta)``, with ``|delta| <= 1.3``, and measure ``max(F_0 - F_delta)``.
 
     Only pairs where both values are defined are compared; the maximum
     should be <= 0 up to roundoff.  Points whose zero-lead value is
@@ -408,9 +398,9 @@ def monotonicity_check(
         # ends where drawing one attempt at a time would
         k = min(n_samples - n_pairs, 50 * n_samples - attempts)
         attempts += k
-        draws = [(rng.normal(size=n), rng.normal(size=n), rng.uniform(*delta_range)) for _ in range(k)]
+        draws = [(rng.normal(size=n), rng.normal(size=n), rng.uniform(-1.3, 1.3)) for _ in range(k)]
         X, Y, D = (np.array(c) for c in zip(*draws))
-        X, Y = X * x_scale, Y * y_scale
+        Y = Y * y_scale
         f, _ = metric.value_many(np.vstack([X, X]), np.vstack([Y, Y]), np.concatenate([np.zeros(k), D]))
         # where F_delta is undefined it is +inf, so the inequality holds trivially
         ok = np.flatnonzero(~np.isnan(f[:k]) & ~np.isnan(f[k:]))

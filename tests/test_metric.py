@@ -1,4 +1,4 @@
-"""Navigation metric: values, domain, fundamental tensor, (alpha,beta) forms."""
+"""Navigation metric: values, domain, fundamental tensor, Matsumoto form."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parnav import (
-    AlphaBetaMetric,
     ConstantField,
     InvalidInputError,
     LinearField,
@@ -16,7 +15,6 @@ from parnav import (
     NavMetricParams,
     OutOfDomainError,
     as_field,
-    matsumoto_form,
     numdiff,
     strong_convexity_margin,
 )
@@ -150,25 +148,7 @@ def test_with_delta_keeps_field():
     assert m2.F(ORIGIN, y) >= m.F(ORIGIN, y)
 
 
-# --- (alpha, beta) forms ----------------------------------------------------
-
-
-def test_randers_frozen_values():
-    m = AlphaBetaMetric("randers", np.eye(2), np.zeros(2))
-    assert m.F(ORIGIN, np.array([3.0, 4.0])) == pytest.approx(5.0, rel=1e-15)
-    m2 = AlphaBetaMetric("randers", np.eye(2), np.array([0.5, 0.0]))
-    assert m2.F(ORIGIN, np.array([1.0, 0.0])) == pytest.approx(1.5, rel=1e-15)
-
-
-def test_matsumoto_frozen_value():
-    # alpha = 1, beta = 1/2: 1/(1 - 1/2) = 2
-    m = AlphaBetaMetric("matsumoto", np.eye(2), np.array([0.5, 0.0]))
-    assert m.F(ORIGIN, np.array([1.0, 0.0])) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_alpha_beta_unknown_kind():
-    with pytest.raises(InvalidInputError):
-        AlphaBetaMetric("kropina", np.eye(2), np.zeros(2))
+# --- Matsumoto form ----------------------------------------------------------
 
 
 @settings(max_examples=50)
@@ -177,14 +157,12 @@ def test_matsumoto_form_reproduces_navigation_metric(y1, y2):
     y = np.array([y1, y2])
     if np.linalg.norm(y) < 1e-6:
         return
-    params = NavMetricParams(2.0, 0.15)
-    v_t = np.array([0.3, -0.2])
-    nav = NavMetric(params, ConstantField(v_t))
-    scale, ab = matsumoto_form(params, v_t)
-    assert scale == pytest.approx(1.0 / (2.0 * math.cos(0.15)), rel=1e-15)
-    val = nav.value(ORIGIN, y)
+    # F = alpha^2 / (c (alpha - beta)) with alpha = |y|, beta = <y, v_T / c>, c = v_M cos(delta)
+    c, v_t = 2.0 * math.cos(0.15), np.array([0.3, -0.2])
+    val = NavMetric(NavMetricParams(2.0, 0.15), ConstantField(v_t)).value(ORIGIN, y)
+    alpha, beta = math.hypot(y1, y2), float(y @ v_t) / c
     if val.in_domain:
-        assert scale * ab.F(ORIGIN, y) == pytest.approx(val.value, rel=1e-12)
+        assert alpha**2 / (c * (alpha - beta)) == pytest.approx(val.value, rel=1e-12)
 
 
 def test_strong_convexity_margin():

@@ -362,6 +362,72 @@ def test_constant_field_course_is_the_hitting_shot_in_closed_form(monkeypatch, r
     assert np.all(np.diff(course.times) > 0.0) and np.max(np.abs(course.F_values - 1.0)) <= 1e-12
 
 
+def _rotation(dim, seed):
+    """A random rotation of R^dim (determinant +1)."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0.0 else q * np.r_[-1.0, np.ones(dim - 1)]
+
+
+def _turned_course(sc, field, Q):
+    """Courses and certificate summaries of ``sc`` in ``field`` and of the scenario turned by ``Q``."""
+    if isinstance(field, ConstantField):
+        turned = ConstantField(Q @ field.value)
+    else:
+        turned = LinearField(Q @ field.base, Q @ field.gradient @ Q.T)
+    program = ConstantVelocity.from_vector(Q @ sc.program.vector)
+    out = []
+    for s, f in ((sc, field), (sc.with_(r0=Q @ sc.r0, program=program), turned)):
+        course = optimal_trajectory(s, f)
+        out.append((course, pmp_check(NavMetric(NavMetricParams(s.v_m), f), course).summary()))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("r0, v, v_m, hit", _CHORDS)
+def test_constant_field_course_turns_with_the_scenario(r0, v, v_m, hit, seed):
+    sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(np.array(v)), v_m=v_m, hit_radius=hit)
+    Q = _rotation(sc.dim, seed)
+    (course, report), (turned, turned_report) = _turned_course(sc, ConstantField(np.array(v)), Q)
+    assert turned.n_nodes == course.n_nodes
+    assert abs(turned.times[-1] - course.times[-1]) <= 1e-12 * course.times[-1]
+    assert np.max(np.abs(turned.positions - course.positions @ Q.T)) <= 1e-12 * np.linalg.norm(r0)
+    assert turned_report["passed"] is report["passed"] is True
+    for key, value in report.items():
+        assert turned_report[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_shear_course_turns_with_the_scenario(shear_metric, seed):
+    Q = _rotation(2, seed)
+    sc = _shear_scenario(0.05)
+    (course, report), (turned, turned_report) = _turned_course(sc, shear_metric.field, Q)
+    assert turned.n_nodes == course.n_nodes
+    assert abs(turned.times[-1] - course.times[-1]) <= 1e-9 * course.times[-1]
+    assert np.max(np.abs(turned.positions - course.positions @ Q.T)) <= 1e-9 * np.linalg.norm(sc.r0)
+    assert turned_report["passed"] is report["passed"] is True
+    for key, value in report.items():
+        assert turned_report[key] == pytest.approx(value, rel=0.0, abs=1e-10)
+
+
+def test_linear_field_course_starts_where_the_straight_chord_does_not_close():
+    # the chord's own direction x0 -> origin does not close here, so its metric length cannot set the step;
+    # |x0| / v_M does, and the fan finds an angle that closes
+    field = LinearField(
+        [0.1023746488161782, 0.08831370694455004],
+        [[-0.4806914627102765, -0.18555066912561968], [-1.1320327892508888, -0.9017201364010465]],
+    )
+    sc = Scenario(r0=np.array([-2.6343681319356302, -0.7022333250408812]), program=ConstantVelocity(0.0, 0.0),
+                  v_m=2.0, hit_radius=0.01)
+    metric = NavMetric(NavMetricParams(2.0), field)
+    assert not metric.value(-sc.r0, sc.r0).in_domain
+    curve = optimal_trajectory(sc, field)
+    assert curve.n_nodes == 812
+    assert curve.times[-1] == pytest.approx(2.15867, rel=1e-5)
+    assert np.max(np.abs(curve.F_values - 1.0)) <= 1e-9
+    assert np.linalg.norm(curve.positions[-1]) == pytest.approx(0.01, rel=1e-9)
+
+
 def _log_shots(patch, veto=lambda n: False):
     """Record every launch angle ``_shoot`` is asked for; shot ``n`` (1-based) returns None if vetoed."""
     real, fired = optimal._shoot, []
@@ -612,6 +678,16 @@ class _AnyField:
 def test_shooter_takes_only_planar_constant_or_linear_fields(field):
     sc = Scenario(r0=np.array([1.6, -0.9]), program=ConstantVelocity(0.1, 0.0), v_m=2.0)
     with pytest.raises(InvalidInputError, match="2-d constant or linear field"):
+        optimal_trajectory(sc, field)
+
+
+@pytest.mark.parametrize("r0, field", [
+    ([1.6, -0.9], ConstantField([0.1, 0.0, 0.0])),
+    ([1.6, -0.9, 0.4], LinearField([0.1, 0.0], [[0.0, 0.45], [0.0, 0.0]])),
+])
+def test_field_of_another_dimension_than_the_scenario_is_refused(r0, field):
+    sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(np.zeros(len(r0))), v_m=2.0)
+    with pytest.raises(InvalidInputError, match="cannot steer"):
         optimal_trajectory(sc, field)
 
 
