@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     curve = integrate_geodesic(metric, x0, y0, args.horizon, step=args.step)
     print(f"geodesic: {curve.n_nodes} nodes over horizon {args.horizon}")
     print(f"  max |F - 1| along the flow : {np.max(np.abs(curve.F_values - 1.0)):.3e}")
-    print(f"  action integral (length)   : {action_integral(metric, curve):.10f}")
+    print(f"  action integral (length)   : {action_integral(curve):.10f}")
 
     el = euler_lagrange_residual(metric, curve)
     bump = 0.02 * np.sin(math.pi * curve.times / args.horizon) ** 2

@@ -219,28 +219,15 @@ def _fstr(x: float) -> str:
     return repr(float(x))
 
 
-def _distinct(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(col, return_inverse=True)`` by a stable sort, which takes monotone runs, such as
-    the time and position columns, in linear time."""
-    order = col.argsort(kind="stable")
-    ranked = col[order]
-    new = np.empty(col.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    inverse = np.empty(col.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return ranked[new], inverse
-
-
 def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Write ``table`` under ``header``, one row per line, each float as its ``repr``.
 
-    Each column is reduced to its distinct bit patterns, so ``-0.0`` and
+    Each column is cut into runs of equal bit patterns, so ``-0.0`` and
     NaN keep theirs, and one :func:`parnav._floatfmt.format_floats` call
-    renders the distinct values of all columns.  Each cell is copied into
-    a slot one byte wider than its column's longest text, whose last byte
-    is the separator; the zero bytes that pad the texts are deleted from
-    the file buffer, which is written once."""
+    renders the head of every run of all columns.  Each cell is copied
+    into a slot one byte wider than its column's longest text, whose last
+    byte is the separator; the zero bytes that pad the texts are deleted
+    from the file buffer, which is written once."""
     from ._floatfmt import format_floats  # here, so that runs writing no table do not import it
 
     table = np.asarray(table, dtype=float)
@@ -248,23 +235,22 @@ def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     if table.size == 0:
         path.write_bytes(head)
         return
-    distinct, inverses = [], []
-    for col in np.ascontiguousarray(table.T).view(np.int64):
-        bits, inverse = _distinct(col)
-        distinct.append(bits)
-        inverses.append(inverse)
-    chars, lengths = format_floats(np.concatenate(distinct).view(np.float64))
-    starts = np.cumsum([0] + [len(bits) for bits in distinct]).tolist()
-    slots = np.cumsum([0] + [int(lengths[a:b].max()) + 1 for a, b in zip(starts, starts[1:])]).tolist()
     rows = table.shape[0]
+    cols = np.ascontiguousarray(table.T).view(np.int64)
+    starts = np.empty(cols.shape, dtype=bool)  # where a run of equal bit patterns starts
+    starts[:, 0] = True
+    np.not_equal(cols[:, 1:], cols[:, :-1], out=starts[:, 1:])
+    chars, lengths = format_floats(cols[starts].view(np.float64))
+    runs = np.cumsum([0] + starts.sum(axis=1).tolist()).tolist()
+    slots = np.cumsum([0] + [int(lengths[a:b].max()) + 1 for a, b in zip(runs, runs[1:])]).tolist()
     text = bytearray(len(head) + rows * slots[-1])
     text[:len(head)] = head
     body = np.frombuffer(text, dtype=np.uint8, offset=len(head)).reshape(rows, -1)
-    cells = np.empty((rows, chars.shape[1]), dtype=np.uint8)
-    for j, inverse in enumerate(inverses):
-        chars[starts[j]:starts[j + 1]].take(inverse, axis=0, out=cells)
+    for j, col_starts in enumerate(starts):
         a, sep = slots[j], slots[j + 1] - 1
-        body[:, a:sep] = cells[:, :sep - a]
+        heads = chars[runs[j]:runs[j + 1], :sep - a]
+        # a column of one run, or of one run a row, is its heads; any other gathers them
+        body[:, a:sep] = heads if len(heads) in (1, rows) else heads.take(np.cumsum(col_starts) - 1, axis=0)
         body[:, sep] = ord(",")
     body[:, -1] = ord("\n")
     path.write_bytes(text.translate(None, b"\0"))

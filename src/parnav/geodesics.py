@@ -299,7 +299,7 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
         raise PartialCurveError("geodesic endpoint left the metric domain", partial=None) from exc
 
 
-def action_integral(metric, curve: CurveRecord) -> float:
+def action_integral(curve: CurveRecord) -> float:
     """Trapezoidal metric length ``integral F(x, v) dt`` along the curve."""
     return float(_trapezoid(curve.F_values, curve.times))
 

@@ -13,8 +13,8 @@ solves.  :func:`polar_rates`, :func:`reconstruct_pursuer` and
 :func:`target_path` are the engagement identities the tests check runs
 against.
 
-``parnav.cli.write_csv`` renders the distinct floats of a whole table
-with the numpy kernel of ``parnav._floatfmt`` and assembles the file as
+``parnav.cli.write_csv`` renders the first float of each run of equal ones
+down the columns of a whole table with the numpy kernel of ``parnav._floatfmt`` and assembles the file as
 one byte buffer.  The row-wise tables and writer at the end of this
 module are the CLI's earlier format, one ``repr(float(v))`` per cell,
 joined row by row, so tests can hold the kernel and the columnar writer

@@ -293,7 +293,7 @@ def _competitor_excess(metric, curve, n_competitors=50, seed=0):
             curve.positions + amp * bump[:, None] * direction[None, :],
             curve.velocities + amp * dbump[:, None] * direction[None, :],
         )
-        worst = min(worst, action_integral(metric, competitor) - T)
+        worst = min(worst, action_integral(competitor) - T)
     return worst
 
 

@@ -358,6 +358,35 @@ def test_solver_step_over_the_step_budget_exits_2_before_any_shot(tmp_path, monk
     assert not out.exists()
 
 
+# finite inputs whose chord time, step or contact time overflows or underflows
+_EXTREME_MAGNITUDES = {
+    "range-overflows": {
+        "r0": [1e300, 3.0], "target": {"type": "constant", "speed": 0.176, "heading_deg": 229.38},
+        "pursuer_speed": 1.0, "hit_radius": 1.35e-5, "t_max": 2.19,
+    },
+    "step-underflows": {
+        "r0": [-2.53, 1.0], "target": {"type": "constant", "speed": 2.21, "heading_deg": 221.39},
+        "pursuer_speed": 1e308, "t_max": 1e-300,
+    },
+    "chord-time-underflows": {
+        "r0": [1e-300, 2.116, -0.896], "target": {"type": "constant", "velocity": [0.136, -1e308, -2.1]},
+        "pursuer_speed": 1.84, "hit_radius": 0.0676,
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way to the refusal
+@pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
+@pytest.mark.parametrize("case", sorted(_EXTREME_MAGNITUDES))
+def test_time_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys, case, mode):
+    path = write_scenario(tmp_path, {"schema_version": 1, "scenario": _EXTREME_MAGNITUDES[case]})
+    out = tmp_path / "x.out"
+    code = cli.main([mode, str(path), "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "error: the course's time scales overflow or underflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pmp_check_report(tmp_path):
     path = write_scenario(tmp_path, scenario_doc())
     out = tmp_path / "report.json"

@@ -373,7 +373,7 @@ def test_integrate_geodesic_steps_the_shooters_flow(shear_metric):
 def test_action_integral_of_unit_curve_is_elapsed_time(shear_metric, shear_start):
     x0, y0 = shear_start
     curve = integrate_geodesic(shear_metric, x0, y0, horizon=2.0, step=1e-2)
-    assert action_integral(shear_metric, curve) == pytest.approx(2.0, abs=1e-6)
+    assert action_integral(curve) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_el_residual_separates_geodesics_from_perturbations(shear_metric, shear_start):

@@ -445,6 +445,29 @@ def _shear_scenario(hit_radius):
     return Scenario(r0=np.array([1.6, -0.9]), program=ConstantVelocity(0.1, 0.0), v_m=2.0, hit_radius=hit_radius)
 
 
+@pytest.mark.parametrize("length_scale", [1e-3, 1.0, 1e6])
+def test_certificate_verdict_has_no_unit_of_length(shear_metric, length_scale):
+    # the c09 course in other units of length: its residuals scale as 1/length_scale, its verdict must not
+    sc = _shear_scenario(0.05)
+    sc = sc.with_(r0=length_scale * sc.r0, hit_radius=length_scale * sc.hit_radius, t_max=length_scale * sc.t_max)
+    field = LinearField(shear_metric.field.base, shear_metric.field.gradient / length_scale)
+    course = optimal_trajectory(sc, field)
+    report = pmp_check(NavMetric(NavMetricParams(sc.v_m), field), course)
+    assert course.n_nodes == 449
+    assert report.passed
+
+
+@pytest.mark.parametrize("case", ["c09-shear", "3-d-chord"])
+def test_certificate_el_residuals_are_the_public_function_bit_for_bit(shear_metric, case):
+    if case == "c09-shear":
+        metric, curve = shear_metric, optimal_trajectory(_shear_scenario(0.05), shear_metric.field)
+    else:
+        sc = Scenario(r0=np.array([800.0, -300.0, 250.0]), program=ConstantVelocity.from_vector([60.0, 70.0, -20.0]), v_m=235.0)
+        metric, curve = NavMetric(NavMetricParams(sc.v_m), ConstantField(sc.program.vector)), optimal_trajectory(sc)
+    el = pmp_check(metric, curve).el_residuals
+    np.testing.assert_array_equal(el, euler_lagrange_residual(metric, curve, energy_scale=1.0))
+
+
 @pytest.mark.parametrize("hit_radius", [0.05, 0.01])
 def test_shear_course_takes_at_most_three_shots(shear_metric, monkeypatch, hit_radius):
     # the alternating fan and bisection fired 13 and 18 shots here
