@@ -203,7 +203,7 @@ class Scenario:
             raise InvalidInputError("pursuer speed must be positive")
         if not all(0.0 < v < math.inf for v in (self.dt, self.t_max, self.hit_radius)):
             raise InvalidInputError("dt, t_max and hit_radius must be positive and finite")
-        if float(np.linalg.norm(r0)) <= self.hit_radius:
+        if math.hypot(*r0) <= self.hit_radius:  # no overflow on the way to a finite range
             raise InvalidInputError("initial range must exceed the hit radius")
         if r0.size == 3 and getattr(self.program, "dim", 2) != 3:
             raise InvalidInputError("3-d scenarios need a 3-d constant-velocity program")

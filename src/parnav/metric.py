@@ -120,7 +120,8 @@ class NavMetricParams:
 class MetricValue:
     """One metric evaluation with its domain diagnostics.
 
-    ``value`` is NaN when the point is outside the metric's domain;
+    ``in_domain`` holds where the velocity closes on the target and the
+    value is finite; ``value`` is NaN where it does not close.
     ``denominator`` is always reported so callers can see how close to
     the domain boundary the evaluation sits.
     """
@@ -164,7 +165,7 @@ class NavMetric:
         if ny == 0.0:
             raise InvalidInputError("metric is undefined at the zero velocity")
         f, den = _closing_quotient(self.params.v_m * self.params.cos_delta, ny, float(y @ self.field(x)))
-        return MetricValue(float(f), den, den > 0.0)
+        return MetricValue(float(f), den, math.isfinite(f))
 
     def F(self, x, y) -> float:
         mv = self.value(x, y)

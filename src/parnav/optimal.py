@@ -18,6 +18,7 @@ check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,10 +59,12 @@ __all__ = [
 ]
 
 # shooting: horizon in chord lengths; launch-angle increment of the fan that
-# replaces a shot which left the metric domain; cap on the shots per course
+# replaces a shot which left the metric domain; cap on the shots per course;
+# the probe shots' step is t_hat / _PROBE_DIVISOR
 _HORIZON_FACTOR = 3.0
 _FAN_STEP = 0.05
 _MAX_SHOTS = 80
+_PROBE_DIVISOR = 64.0
 
 
 def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -177,20 +180,24 @@ class _Shot:
     states: list
     miss: float  # signed perpendicular offset of the end point
     hit: bool
+    phi: float = math.nan  # launch angle
 
 
 def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
     """Fire the unit-F geodesic from ``x0`` at angle ``phi`` on ``flow``, ``metric``'s planar flow (2-d constant
     or linear field), until it is done: inside the hit sphere or no longer approaching the target.
 
-    The march stops at the first done node; a bisection over that step, to ``1e-12 step``, puts the last node
-    on the step's first done point: the contact for a hit, the closest approach for a miss.  None if a stage
-    leaves the domain or ``n_max`` steps do not get done.
+    A state is done exactly where its margin ``m = min(|x| - eps, -<x, y>/|y|)`` is not positive.  The march
+    stops at the first done node; Illinois regula falsi on ``m`` over that step (the secant point, or the
+    midpoint where the secant leaves the bracket; Dowell & Jarratt, BIT 11, 1971), to a bracket of
+    ``1e-12 step``, puts the last node on the done end of the bracket: the contact for a hit, the closest
+    approach for a miss.  None if a stage leaves the domain, ``n_max`` steps do not get done, or the end point
+    is off unit F by more than 1e-3 (RK4 lost the geodesic, so its miss is noise).
     """
 
-    def done(z) -> bool:
+    def margin(z) -> float:
         x1, x2, y1, y2 = z
-        return math.sqrt(x1 * x1 + x2 * x2) <= eps or x1 * y1 + x2 * y2 >= 0.0
+        return min(math.sqrt(x1 * x1 + x2 * x2) - eps, -(x1 * y1 + x2 * y2) / math.sqrt(y1 * y1 + y2 * y2))
 
     u = np.array([math.cos(phi), math.sin(phi)])
     try:
@@ -198,27 +205,33 @@ def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_m
         times, states = [0.0], [z]
         for k in range(1, n_max + 1):
             z = flow.step(states[-1], step)
-            if done(z):
+            if margin(z) <= 0.0:
                 break
             times.append(k * step)
             states.append(z)
         else:
             return None
-        lo, hi = 0.0, step  # z is the done state at hi
+        # z is the done state at hi; the end left in place twice in a row (kept: 1 lo, -1 hi) has its margin halved
+        lo, hi, m_lo, m_hi, kept = 0.0, step, margin(states[-1]), margin(z), 0
         while hi - lo > 1e-12 * step:
-            mid = 0.5 * (lo + hi)
-            z_mid = flow.step(states[-1], mid)
-            if done(z_mid):
-                hi, z = mid, z_mid
+            t = hi - m_hi * (hi - lo) / (m_hi - m_lo)
+            if not lo < t < hi:
+                t = 0.5 * (lo + hi)
+            z_t = flow.step(states[-1], t)
+            m_t = margin(z_t)
+            if m_t <= 0.0:
+                hi, z, m_hi, m_lo, kept = t, z_t, m_t, (0.5 * m_lo if kept == 1 else m_lo), 1
             else:
-                lo = mid
+                lo, m_lo, m_hi, kept = t, m_t, (0.5 * m_hi if kept == -1 else m_hi), -1
+        if not abs(metric.F(z[:2], z[2:]) - 1.0) <= 1e-3:
+            return None
     except OutOfDomainError:
         return None
     times.append(times[-1] + hi)
     states.append(z)
     x1, x2, y1, y2 = z
     ny = math.sqrt(y1 * y1 + y2 * y2)
-    return _Shot(times, states, x1 * (y2 / ny) - x2 * (y1 / ny), math.sqrt(x1 * x1 + x2 * x2) <= eps)
+    return _Shot(times, states, x1 * (y2 / ny) - x2 * (y1 / ny), math.sqrt(x1 * x1 + x2 * x2) <= eps, phi)
 
 
 def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: float) -> float:
@@ -257,10 +270,10 @@ def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: flo
     misses measured so far (:func:`_next_launch_angle`: Newton guess,
     then secant, then Illinois regula falsi once the target is
     bracketed).  No angle is fired twice.  When a shot leaves the metric
-    domain, or the proposed angle was fired already or lies a right
-    angle or more off the aim (such a course recedes from its start),
-    the next unused angle of the fan ``phi_aim +- k _FAN_STEP`` is shot
-    instead.  After ``_MAX_SHOTS`` shots it raises
+    domain (:func:`_shoot` returns None), or the proposed angle was fired
+    already or lies a right angle or more off the aim (such a course
+    recedes from its start), the next unused angle of the fan ``phi_aim +-
+    k _FAN_STEP`` is shot instead.  After ``_MAX_SHOTS`` shots it raises
     :class:`ConvergenceError` naming the best miss and its angle.
     """
     phi_aim = math.atan2(-x0[1], -x0[0])
@@ -299,27 +312,30 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
 
     The course is a geodesic of the zero-lead navigation metric; the
     returned record is parametrized by time (equivalently, by metric
-    length).  In a constant field, whose only geodesic to the origin is
-    the straight chord, the course is that chord in closed form on the
-    shooter's grid, laid out in the scenario's own dimension, and no
-    geodesic is shot; otherwise it is found by shooting on the launch
-    angle.  :class:`UnreachableError` is raised when the course cannot
-    reach the target: in a constant field, when the chord does not close
-    or its closed-form time to the hit sphere,
-    ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max``; in any other
-    field, when the hitting geodesic arrives after ``t_max``.
-    :class:`ConvergenceError` is raised when no shot enters the hit sphere
-    (see :func:`_hitting_shot`), or when the course strays from unit F by
-    more than 1e-9.  ``field`` overrides the target velocity field
-    (defaults to the scenario's constant program); non-constant programs
-    require an explicit field.  Shots take 2-d linear fields; other
-    non-constant fields, a field whose dimension is not the scenario's,
-    a ``step`` not positive and finite or over the step budget (1e7 a
-    shot), and magnitudes under which ``t_hat``, the step, the horizon or
-    the chord's contact time overflow or underflow raise
-    :class:`InvalidInputError`.  The default step is ``t_hat /
-    512`` with ``t_hat = F_0(x0, -x0)``, or ``|x0| / v_M`` in a linear
-    field whose straight chord does not close.
+    length).  In a constant field, whose only geodesic to the origin is the
+    straight chord, the course is that chord in closed form on the shooter's
+    grid, laid out in the scenario's own dimension, and no geodesic is shot;
+    otherwise it is found by shooting on the launch angle:
+    :func:`_hitting_shot` aims on probe shots of step ``t_hat / 64``, then
+    one shot at ``step`` from their hitting angle marches the course; if the
+    probes fail, or that shot misses or leaves the domain, the search runs
+    again at ``step`` (as it does alone for a ``step`` of ``t_hat / 64`` or
+    more).  :class:`UnreachableError` is raised when the course cannot reach
+    the target: in a constant field, when the chord does not close or its
+    closed-form time to the hit sphere, ``F_0(x0, -x0) (|x0| - eps) /
+    |x0|``, exceeds ``t_max``; in any other field, when the hitting geodesic
+    arrives after ``t_max``.  :class:`ConvergenceError` is raised when no
+    shot enters the hit sphere (see :func:`_hitting_shot`), or when the
+    course strays from unit F by more than 1e-9.  ``field`` overrides the
+    target velocity field (defaults to the scenario's constant program);
+    non-constant programs require an explicit field.  Shots take 2-d linear
+    fields; other non-constant fields, a field whose dimension is not the
+    scenario's, a ``step`` not positive and finite or over the step budget
+    (1e7 a shot), and magnitudes under which ``t_hat``, the step, the
+    horizon or the chord's contact time overflow or underflow raise
+    :class:`InvalidInputError`.  The default step is ``t_hat / 512`` with
+    ``t_hat = F_0(x0, -x0)``, or ``|x0| / v_M`` in a linear field whose
+    straight chord does not close.
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -335,22 +351,23 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     if metric.dim != x0.size:
         raise InvalidInputError(f"a {metric.dim}-d field cannot steer a {x0.size}-d course")
     eps = scenario.hit_radius
-    range0 = float(np.linalg.norm(x0))
 
     # time scale: metric length of the straight chord to the origin, or its pursuer time where it does not close
-    chord = metric.value(x0, -x0)
-    if constant and not chord.in_domain:
-        raise UnreachableError("the straight zero-lead course does not close on the target")
-    t_hat = chord.value if chord.in_domain else range0 / scenario.v_m
-    if step is None:
-        step = t_hat / 512.0
-    horizon = _HORIZON_FACTOR * t_hat
-    t_contact = t_hat * (range0 - eps) / range0  # the chord's time to the hit sphere
+    with np.errstate(over="ignore", invalid="ignore"):  # magnitudes that overflow here are refused below
+        range0 = float(np.linalg.norm(x0))
+        chord = metric.value(x0, -x0)
+        t_hat = chord.value if chord.in_domain else range0 / scenario.v_m
+        if step is None:
+            step = t_hat / 512.0
+        horizon = _HORIZON_FACTOR * t_hat
+        t_contact = t_hat * (range0 - eps) / range0  # the chord's time to the hit sphere
     if not all(0.0 < v < math.inf for v in (t_hat, step, horizon, t_contact)):
         raise InvalidInputError(
             f"the course's time scales overflow or underflow (t_hat {t_hat!r}, step {step!r}, "
             f"contact time {t_contact!r}): rescale lengths or speeds"
         )
+    if constant and not chord.in_domain:
+        raise UnreachableError("the straight zero-lead course does not close on the target")
     horizon_steps = horizon / step
     if horizon_steps > _MAX_STEPS:  # every shot keeps its states
         raise InvalidInputError(f"step {step!r} lets a shot exceed the step budget of {_MAX_STEPS:.3g}")
@@ -363,7 +380,13 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
         y0 = metric.unit_vector(x0, -x0 / range0)
         curve = curve_from_arrays(metric, times, x0 + times[:, None] * y0, np.tile(y0, (times.size, 1)))
     else:
-        shot = _hitting_shot(metric, flow, x0, eps, step, int(math.ceil(horizon_steps)))
+        probe, shot = t_hat / _PROBE_DIVISOR, None
+        if step < probe:  # aim on probe shots, then march the course once at the asked-for step
+            with contextlib.suppress(ConvergenceError):
+                aim = _hitting_shot(metric, flow, x0, eps, probe, math.ceil(horizon / probe))
+                shot = _shoot(metric, flow, x0, aim.phi, step, math.ceil(horizon_steps), eps)
+        if shot is None or not shot.hit:
+            shot = _hitting_shot(metric, flow, x0, eps, step, math.ceil(horizon_steps))
         curve = _flow_curve(metric, shot.times, shot.states)
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not unit_defect <= 1e-9:

@@ -375,7 +375,7 @@ _EXTREME_MAGNITUDES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notes on the way to the refusal
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the refusal is the only note: numpy must not warn on the way
 @pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
 @pytest.mark.parametrize("case", sorted(_EXTREME_MAGNITUDES))
 def test_time_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys, case, mode):
@@ -488,15 +488,21 @@ def _stationary_shear(r0, base, gradient):
 
 # Shear fields whose geodesics to the target cross the non-convex part of the metric (1 + 2|b|^2 - 3s < 0),
 # where RK4 loses unit F and shots are chaotic in the launch angle, so the test pins the exit code only:
-# "nonconvex" once came back as an "optimal" course with max |F - 1| = 0.0351, "off-unit" with 0.0093.
+# "nonconvex" once came back as an "optimal" course with max |F - 1| = 0.0351.  "off-unit" is draw 31 of
+# default_rng(2026) (per draw: gradient U(-1.2, 1.2)^(2x2), base U(-0.3, 0.3)^2, |r0| U(1, 3), bearing
+# U(-pi, pi)), the first draw whose hitting course the probe search returns with max |F - 1| = 8.95e-05.
 _NONCONVEX_SHEAR = {
     "nonconvex": _stationary_shear(
         [-0.27321809125983754, -2.59905423986704], [0.18536401952866788, -0.23155152629423187],
         [[-0.38049249454531753, 0.18879945050950697], [1.0682459731480611, -0.48577471011832263]]),
     "off-unit": _stationary_shear(
-        [-0.9375306831075645, -1.3558493900218187], [-0.275851994672138, -0.039014550843204376],
-        [[-0.2346025873374019, -0.3343740506814262], [-0.41704665996107426, -0.27465643601244616]]),
+        [0.14230802464377074, 2.239622834400889], [-0.2339207286015504, 0.24955426468617098],
+        [[-0.9174886080423732, -0.6363862092243601], [1.1807834350595947, -0.810651461950642]]),
 }
+# The earlier "off-unit" draw (a course with max |F - 1| = 0.0093), which the probe search solves with a unit course
+_ONCE_OFF_UNIT_SHEAR = _stationary_shear(
+    [-0.9375306831075645, -1.3558493900218187], [-0.275851994672138, -0.039014550843204376],
+    [[-0.2346025873374019, -0.3343740506814262], [-0.41704665996107426, -0.27465643601244616]])
 
 
 @pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
@@ -508,14 +514,23 @@ def test_course_off_unit_F_is_a_numerical_failure(tmp_path, capsys, case, mode):
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("mode", ["optimal", "pmp-check"])
+def test_course_once_off_unit_F_is_solved_with_a_unit_course(tmp_path, mode):
+    out = tmp_path / "x.out"
+    assert cli.main([mode, str(write_scenario(tmp_path, _ONCE_OFF_UNIT_SHEAR)), "--out", str(out), "--quiet"]) == 0
+    if mode == "optimal":
+        assert json.loads((tmp_path / "x.out.record.json").read_text())["summary"]["max_unit_defect"] <= 1e-9
+    else:
+        assert json.loads(out.read_text())["report"]["passed"] is True
+
+
 def test_hitting_course_off_unit_F_names_the_defect(tmp_path, monkeypatch, capsys):
-    real = optimal._hitting_shot
+    real = optimal._flow_curve
 
-    def stretched(*args):  # F is 1-homogeneous in the velocity: F = 1.001 on every node
-        shot = real(*args)
-        return dataclasses.replace(shot, states=[(x1, x2, 1.001 * y1, 1.001 * y2) for x1, x2, y1, y2 in shot.states])
+    def stretched(metric, times, states):  # F is 1-homogeneous in the velocity: F = 1.001 on every node
+        return real(metric, times, [(x1, x2, 1.001 * y1, 1.001 * y2) for x1, x2, y1, y2 in states])
 
-    monkeypatch.setattr(optimal, "_hitting_shot", stretched)
+    monkeypatch.setattr(optimal, "_flow_curve", stretched)
     mode, scenario, _, field = _TABLE_CASES["optimal-shear"]
     path = write_scenario(tmp_path, {"schema_version": 1, "scenario": scenario, "metric": {"field": field}})
     code = cli.main([mode, str(path), "--out", str(tmp_path / "x.csv"), "--quiet"])
