@@ -180,7 +180,7 @@ class _Shot:
     states: list
     miss: float  # signed perpendicular offset of the end point
     hit: bool
-    phi: float = math.nan  # launch angle
+    phi: float  # launch angle
 
 
 def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_max: int, eps: float) -> _Shot | None:
@@ -204,8 +204,8 @@ def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_m
         z = (*x0.tolist(), *metric.unit_vector(x0, u).tolist())
         times, states = [0.0], [z]
         for k in range(1, n_max + 1):
-            z = flow.step(states[-1], step)
-            if margin(z) <= 0.0:
+            z = x1, x2, y1, y2 = flow.step(states[-1], step)
+            if math.sqrt(x1 * x1 + x2 * x2) <= eps or x1 * y1 + x2 * y2 >= 0.0:  # margin(z) <= 0, short-circuited
                 break
             times.append(k * step)
             states.append(z)
@@ -318,24 +318,24 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     otherwise it is found by shooting on the launch angle:
     :func:`_hitting_shot` aims on probe shots of step ``t_hat / 64``, then
     one shot at ``step`` from their hitting angle marches the course; if the
-    probes fail, or that shot misses or leaves the domain, the search runs
-    again at ``step`` (as it does alone for a ``step`` of ``t_hat / 64`` or
-    more).  :class:`UnreachableError` is raised when the course cannot reach
-    the target: in a constant field, when the chord does not close or its
-    closed-form time to the hit sphere, ``F_0(x0, -x0) (|x0| - eps) /
-    |x0|``, exceeds ``t_max``; in any other field, when the hitting geodesic
-    arrives after ``t_max``.  :class:`ConvergenceError` is raised when no
-    shot enters the hit sphere (see :func:`_hitting_shot`), or when the
-    course strays from unit F by more than 1e-9.  ``field`` overrides the
-    target velocity field (defaults to the scenario's constant program);
-    non-constant programs require an explicit field.  Shots take 2-d linear
-    fields; other non-constant fields, a field whose dimension is not the
-    scenario's, a ``step`` not positive and finite or over the step budget
-    (1e7 a shot), and magnitudes under which ``t_hat``, the step, the
-    horizon or the chord's contact time overflow or underflow raise
-    :class:`InvalidInputError`.  The default step is ``t_hat / 512`` with
-    ``t_hat = F_0(x0, -x0)``, or ``|x0| / v_M`` in a linear field whose
-    straight chord does not close.
+    probes fail, or that shot misses, leaves the domain or strays from unit
+    F by more than 1e-9, the search runs again at ``step`` (as it does alone
+    for a ``step`` of ``t_hat / 64`` or more).  :class:`UnreachableError` is
+    raised when the course cannot reach the target: in a constant field,
+    when the chord does not close or its closed-form time to the hit sphere,
+    ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max``; in any other
+    field, when the hitting geodesic arrives after ``t_max``.
+    :class:`ConvergenceError` is raised when no shot enters the hit sphere
+    (see :func:`_hitting_shot`), or when the course strays from unit F by
+    more than 1e-9.  ``field`` overrides the target velocity field (defaults
+    to the scenario's constant program); non-constant programs require an
+    explicit field.  Shots take 2-d linear fields; other non-constant
+    fields, a field whose dimension is not the scenario's, a ``step`` not
+    positive and finite or over the step budget (1e7 a shot), and magnitudes
+    under which ``t_hat``, the step, the horizon or the chord's contact time
+    overflow or underflow raise :class:`InvalidInputError`.  The default
+    step is ``t_hat / 512`` with ``t_hat = F_0(x0, -x0)``, or ``|x0| / v_M``
+    in a linear field whose straight chord does not close.
     """
     if step is not None and not (0.0 < step < math.inf):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -380,14 +380,15 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
         y0 = metric.unit_vector(x0, -x0 / range0)
         curve = curve_from_arrays(metric, times, x0 + times[:, None] * y0, np.tile(y0, (times.size, 1)))
     else:
-        probe, shot = t_hat / _PROBE_DIVISOR, None
+        probe, curve = t_hat / _PROBE_DIVISOR, None
         if step < probe:  # aim on probe shots, then march the course once at the asked-for step
             with contextlib.suppress(ConvergenceError):
                 aim = _hitting_shot(metric, flow, x0, eps, probe, math.ceil(horizon / probe))
                 shot = _shoot(metric, flow, x0, aim.phi, step, math.ceil(horizon_steps), eps)
-        if shot is None or not shot.hit:
+                curve = _flow_curve(metric, shot.times, shot.states) if shot is not None and shot.hit else None
+        if curve is None or not np.max(np.abs(curve.F_values - 1.0)) <= 1e-9:  # the search at the asked-for step
             shot = _hitting_shot(metric, flow, x0, eps, step, math.ceil(horizon_steps))
-        curve = _flow_curve(metric, shot.times, shot.states)
+            curve = _flow_curve(metric, shot.times, shot.states)
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not unit_defect <= 1e-9:
         raise ConvergenceError(f"the hitting geodesic is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})")

@@ -467,7 +467,7 @@ def test_convergence_failure_exit_code(tmp_path, monkeypatch):
 
 def test_shooting_failure_names_shots_and_best_miss(tmp_path, monkeypatch, capsys):
     def never_hits(metric, f, x0, phi, *rest):  # the aim at the origin is phi = 0 and misses least
-        return optimal._Shot([], [], 0.5 + phi * phi, False)
+        return optimal._Shot([], [], 0.5 + phi * phi, False, phi)
 
     monkeypatch.setattr(optimal, "_shoot", never_hits)
     path = write_scenario(tmp_path, scenario_doc(metric={"field": _SHEAR}))  # constant fields take no shot
@@ -490,7 +490,8 @@ def _stationary_shear(r0, base, gradient):
 # where RK4 loses unit F and shots are chaotic in the launch angle, so the test pins the exit code only:
 # "nonconvex" once came back as an "optimal" course with max |F - 1| = 0.0351.  "off-unit" is draw 31 of
 # default_rng(2026) (per draw: gradient U(-1.2, 1.2)^(2x2), base U(-0.3, 0.3)^2, |r0| U(1, 3), bearing
-# U(-pi, pi)), the first draw whose hitting course the probe search returns with max |F - 1| = 8.95e-05.
+# U(-pi, pi)), the first draw refused for unit F: its probe shots find no hitting angle, and the search at the
+# course's own step returns a course with max |F - 1| = 8.95e-05 (with a bisection end point, 9.1e-05).
 _NONCONVEX_SHEAR = {
     "nonconvex": _stationary_shear(
         [-0.27321809125983754, -2.59905423986704], [0.18536401952866788, -0.23155152629423187],

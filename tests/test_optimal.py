@@ -501,7 +501,7 @@ def _same_course(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-@pytest.mark.parametrize("outcome", ["misses", "leaves-the-domain"])
+@pytest.mark.parametrize("outcome", ["misses", "leaves-the-domain", "off-unit"])
 def test_fine_march_that_fails_falls_back_to_the_fine_search(shear_metric, monkeypatch, outcome):
     sc = _shear_scenario(0.01)
     with pytest.MonkeyPatch.context() as patch:
@@ -513,6 +513,9 @@ def test_fine_march_that_fails_falls_back_to_the_fine_search(shear_metric, monke
         steps.append(step)
         shot = real(metric, f, x0, phi, step, *rest)
         if step != steps[0] and steps.count(step) == 1:  # the first shot at the course's step, aimed by the probes
+            if outcome == "off-unit":  # F is 1-homogeneous in the velocity: F = 1.001 on every node
+                stretched = [(x1, x2, 1.001 * y1, 1.001 * y2) for x1, x2, y1, y2 in shot.states]
+                return dataclasses.replace(shot, states=stretched)
             return dataclasses.replace(shot, hit=False) if outcome == "misses" else None
         return shot
 
