@@ -182,32 +182,41 @@ def _format_block(v, chars, lengths):
     bits = v.view(np.uint64)
     mag = bits & _U((1 << 63) - 1)
     special = (mag == _U(0)) | (mag >= _U(0x7FF << 52))  # +-0.0, +-inf, nan
-    digits, exp10, uncertain = _shortest(np.where(special, _U(1), mag))  # 5e-324 stands in for them
+    digits, exp10, uncertain = _shortest(np.where(special, _U(0x3FF << 52), mag))  # 1.0 stands in for them
     fallback = special | uncertain
 
     # the digits left-aligned in 17 places, nd of them significant; value = 0.DIGITS 10^point
-    n_digits = np.searchsorted(_POW10, digits, side="right")
+    n_digits = np.add(digits >= _U(10**15), digits >= _U(10**16), dtype=np.intp)
+    n_digits += 15
+    short = np.flatnonzero(digits < _U(10**14))  # the usual 15 to 17 digits take two comparisons, the rest a search
+    n_digits[short] = np.searchsorted(_POW10, digits[short], side="right")
     aligned = digits * _POW10.take(17 - n_digits)
     high = aligned // _U(10**9)
     low = aligned - high * _U(10**9)
     mid = low // _U(10)
     raw = [_ascii8(high), _ascii8(mid), low - mid * _U(10)]
     nd = n_digits.copy()
-    at = np.flatnonzero(digits % _U(10) == _U(0))
-    rest = digits[at] // _U(10)
-    while at.size:  # strip the trailing zeros of the few values that have them
-        nd[at] -= 1
-        more = rest % _U(10) == _U(0)
-        at, rest = at[more], rest[more] // _U(10)
+    at = np.flatnonzero(digits // _U(10) * _U(10) == digits)
+    if at.size:  # strip the trailing zeros of the values that have them, up to 31 in five steps
+        rest, cut = digits[at], np.zeros(at.size, dtype=np.intp)
+        for k in (16, 8, 4, 2, 1):
+            tens = rest // _U(10**k)
+            more = tens * _U(10**k) == rest
+            rest = np.where(more, tens, rest)
+            cut += k * more
+        nd[at] -= cut
     point = exp10 + n_digits
     neg = (bits >> _U(63)).astype(np.intp)
-    sci = (point < -3) | (point > 16)
-    # positional 0.00DIGITS is "0" * zeros + DIGITS with the point after one digit, and so is scientific
-    zeros = np.where(sci, 0, np.maximum(1 - point, 0))
-    dot = np.where(sci, 1, np.maximum(point, 1))
-    n_exp = 2 + (np.abs(point - 1) >= 100)
-    lengths[:] = neg + np.where(sci, np.where(nd > 1, nd + 1, 1) + 2 + n_exp,
-                             dot + 1 + np.maximum(nd + zeros - dot, 1))
+    # positional 0.00DIGITS is "0" * zeros + DIGITS with the point after dot digits
+    zeros = np.maximum(1 - point, 0)
+    dot = np.maximum(point, 1)
+    lengths[:] = neg + dot + 1 + np.maximum(nd + zeros - dot, 1)
+    sci = np.flatnonzero((point < -3) | (point > 16))
+    if sci.size:  # scientific is DIGITS with the point after one digit, then the exponent
+        zeros[sci] = 0
+        dot[sci] = 1
+        n_exp = 2 + (np.abs(point[sci] - 1) >= 100)
+        lengths[sci] = neg[sci] + np.where(nd[sci] > 1, nd[sci] + 1, 1) + 2 + n_exp
     texts = {i: repr(float(v[i])).encode() for i in np.flatnonzero(fallback).tolist()}
     lengths[list(texts)] = [len(text) for text in texts.values()]
 
@@ -225,14 +234,15 @@ def _format_block(v, chars, lengths):
         words[:, k] = w & m.take(lengths)
     words[:, 3] = 0
 
-    # scientific: "e" and the exponent's sign after the mantissa, its 2 or 3 digits at the end
-    rows = np.flatnonzero(sci & ~fallback)
-    end, x = lengths[rows], point[rows] - 1
-    chars[rows, end - 2 - n_exp[rows]] = ord("e")
-    chars[rows, end - 1 - n_exp[rows]] = np.where(x < 0, ord("-"), ord("+"))
-    for place in range(3):
-        at = place < n_exp[rows]
-        chars[rows[at], end[at] - 1 - place] = np.abs(x[at]) // 10**place % 10 + ord("0")
+    if sci.size:  # scientific: "e" and the exponent's sign after the mantissa, its 2 or 3 digits at the end
+        certain = ~fallback[sci]
+        rows, n_exp = sci[certain], n_exp[certain]
+        end, x = lengths[rows], point[rows] - 1
+        chars[rows, end - 2 - n_exp] = ord("e")
+        chars[rows, end - 1 - n_exp] = np.where(x < 0, ord("-"), ord("+"))
+        for place in range(3):
+            at = place < n_exp
+            chars[rows[at], end[at] - 1 - place] = np.abs(x[at]) // 10**place % 10 + ord("0")
     for i, text in texts.items():
         chars[i] = 0
         chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)

@@ -219,41 +219,56 @@ def _fstr(x: float) -> str:
     return repr(float(x))
 
 
+_CSV_ROWS = 2048  # rows per block of text: a cold engage run faults in about 100 pages an op, 400 to 1,200 at 4096
+
+
 def write_csv(path: Path, header: list[str], table: np.ndarray) -> None:
     """Write ``table`` under ``header``, one row per line, each float as its ``repr``.
 
-    Each column is cut into runs of equal bit patterns, so ``-0.0`` and
-    NaN keep theirs, and one :func:`parnav._floatfmt.format_floats` call
-    renders the head of every run of all columns.  Each cell is copied
-    into a slot one byte wider than its column's longest text, whose last
+    The file is opened once and written in blocks of ``_CSV_ROWS`` rows,
+    so the text of at most one block is held at a time.  In each block,
+    each column is cut into runs of equal bit patterns, so ``-0.0`` and
+    NaN keep theirs, with a run starting at the block's first row; one
+    :func:`parnav._floatfmt.format_floats` call renders the head of every
+    run of all columns.  Each cell is copied as one item into a slot one
+    byte wider than its column's longest text in the block, whose last
     byte is the separator; the zero bytes that pad the texts are deleted
-    from the file buffer, which is written once."""
+    before the block is written."""
+    table = np.asarray(table, dtype=float)
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        if table.size:
+            for a in range(0, table.shape[0], _CSV_ROWS):
+                f.write(_csv_block(table[a : a + _CSV_ROWS]))
+
+
+def _csv_block(block: np.ndarray) -> bytearray:
+    """The CSV lines of the rows of ``block``."""
     from ._floatfmt import format_floats  # here, so that runs writing no table do not import it
 
-    table = np.asarray(table, dtype=float)
-    head = (",".join(header) + "\n").encode()
-    if table.size == 0:
-        path.write_bytes(head)
-        return
-    rows = table.shape[0]
-    cols = np.ascontiguousarray(table.T).view(np.int64)
+    rows, n_cols = block.shape
+    cols = block.T
     starts = np.empty(cols.shape, dtype=bool)  # where a run of equal bit patterns starts
     starts[:, 0] = True
-    np.not_equal(cols[:, 1:], cols[:, :-1], out=starts[:, 1:])
-    chars, lengths = format_floats(cols[starts].view(np.float64))
-    runs = np.cumsum([0] + starts.sum(axis=1).tolist()).tolist()
-    slots = np.cumsum([0] + [int(lengths[a:b].max()) + 1 for a, b in zip(runs, runs[1:])]).tolist()
-    text = bytearray(len(head) + rows * slots[-1])
-    text[:len(head)] = head
-    body = np.frombuffer(text, dtype=np.uint8, offset=len(head)).reshape(rows, -1)
-    for j, col_starts in enumerate(starts):
-        a, sep = slots[j], slots[j + 1] - 1
-        heads = chars[runs[j]:runs[j + 1], :sep - a]
-        # a column of one run, or of one run a row, is its heads; any other gathers them
-        body[:, a:sep] = heads if len(heads) in (1, rows) else heads.take(np.cumsum(col_starts) - 1, axis=0)
-        body[:, sep] = ord(",")
-    body[:, -1] = ord("\n")
-    path.write_bytes(text.translate(None, b"\0"))
+    bits = cols.view(np.int64)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=starts[:, 1:])
+    chars, lengths = format_floats(cols[starts])  # run heads, column by column
+    runs = np.zeros(n_cols + 1, dtype=np.intp)
+    np.cumsum(starts.sum(axis=1), out=runs[1:])
+    widths = (np.maximum.reduceat(lengths, runs[:-1]) + 1).tolist()
+    slots = np.cumsum([0] + widths).tolist()
+    runs = runs.tolist()
+    text = bytearray(rows * slots[-1])
+    for j, w in enumerate(widths):
+        # the separator after the column's longest text; the zeros after the others are deleted
+        chars[runs[j] : runs[j + 1], w - 1] = ord("\n") if j == n_cols - 1 else ord(",")
+        cells = np.ndarray((rows,), dtype=f"V{w}", buffer=text, offset=slots[j], strides=(slots[-1],))
+        texts = np.ndarray((runs[j + 1] - runs[j],), dtype=f"V{w}", buffer=chars, offset=32 * runs[j], strides=(32,))
+        if len(texts) in (1, rows):  # a column of one run, or of one run a row, is its texts
+            cells[...] = texts
+        else:  # each run's text over the run's length
+            cells[...] = texts.repeat(np.diff(np.flatnonzero(starts[j]), append=rows))
+    return text.translate(None, b"\0")
 
 
 def _jsonable(obj):
@@ -286,12 +301,9 @@ def sim_table(result) -> tuple[list[str], np.ndarray]:
     for name in ("r", "rm", "rt", "vm", "vt"):
         header += [f"{name}_{c}" for c in _axes(dim)]
     header += ["lam", "theta", "delta", "F"]
-    cols = [result.times, result.r, result.r_m, result.r_t, result.v_m, result.v_t,
-            result.lam, result.theta, result.delta, result.F]
     if result.parameter_rate is not None:
         header.append("dsdt")
-        cols.append(result.parameter_rate)
-    return header, np.column_stack(cols)
+    return header, result.table
 
 
 def curve_table(curve) -> tuple[list[str], np.ndarray]:

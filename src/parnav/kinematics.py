@@ -259,40 +259,56 @@ def _resolve_speed(ratio, pursuer_speed, target_speed) -> float:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Struct-of-arrays record of one simulated engagement.
+    """One simulated engagement: its node table and how it ended.
 
-    ``r`` is the range vector ``r_T - r_M``.  ``lam``, ``theta`` and
+    ``table`` holds one row per node in the CLI's column order: the time
+    ``t``, then the range vector ``r = r_T - r_M``, the pursuer and target
+    positions ``r_m``, ``r_t`` and velocities ``v_m``, ``v_t`` (each
+    ``dim`` columns), then ``lam``, ``theta``, ``delta`` and ``F``.  The
+    named arrays are views of its columns.  ``lam``, ``theta`` and
     ``delta`` are in-plane angles (for 3-d runs they live in the
     engagement plane).  ``F`` is the navigation-metric value of the
     relative course at each node; it is NaN on a node where the control
-    was infeasible or the course left the metric's domain.
-    ``parameter_rate`` is None for plain time-parametrized output and
-    holds ``ds/dt`` per node after reparametrization, in which case the
-    velocity columns are derivatives with respect to the new parameter.
+    was infeasible or the course left the metric's domain.  After
+    reparametrization the first column is the metric length ``s``, the
+    velocity columns are derivatives with respect to it, and a last
+    column holds ``ds/dt`` (``parameter_rate``, None before).
     """
 
     scenario: Scenario
-    times: np.ndarray
-    r: np.ndarray
-    r_m: np.ndarray
-    r_t: np.ndarray
-    v_m: np.ndarray
-    v_t: np.ndarray
-    lam: np.ndarray
-    theta: np.ndarray
-    delta: np.ndarray
-    F: np.ndarray
+    table: np.ndarray
     termination: str
     intercept: bool
-    parameter_rate: np.ndarray | None = None
+
+    def _vector(self, k: int) -> np.ndarray:
+        d = self.scenario.dim
+        return self.table[:, 1 + k * d : 1 + (k + 1) * d]
+
+    def _scalar(self, k: int) -> np.ndarray:
+        return self.table[:, 1 + 5 * self.scenario.dim + k]
+
+    times = property(lambda self: self.table[:, 0])
+    r = property(lambda self: self._vector(0))
+    r_m = property(lambda self: self._vector(1))
+    r_t = property(lambda self: self._vector(2))
+    v_m = property(lambda self: self._vector(3))
+    v_t = property(lambda self: self._vector(4))
+    lam = property(lambda self: self._scalar(0))
+    theta = property(lambda self: self._scalar(1))
+    delta = property(lambda self: self._scalar(2))
+    F = property(lambda self: self._scalar(3))
+
+    @property
+    def parameter_rate(self) -> np.ndarray | None:
+        return self._scalar(4) if self.table.shape[1] > 5 + 5 * self.scenario.dim else None
 
     @property
     def n_nodes(self) -> int:
-        return self.times.size
+        return self.table.shape[0]
 
     @property
     def t_f(self) -> float:
-        return float(self.times[-1])
+        return float(self.table[-1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +359,9 @@ class _Leg(NamedTuple):
     def range_at(self, times):
         return self.rho0 - self.closing * (times - self.t0)
 
-    def table(self, times, rho) -> np.ndarray:
-        """Rows ``(t, r, r_M, r_T, v_M, v_T, lam, theta, delta, F)``, with ``r = rho * u``."""
+    def fill(self, out, times, rho) -> None:
+        """Rows ``(t, r, r_M, r_T, v_M, v_T, lam, theta, delta, F)`` into ``out``, with ``r = rho * u``."""
         seg = self.seg
-        out = np.empty((times.size, 15))
         out[:, 0] = times
         out[:, 1] = self.ux * rho
         out[:, 2] = self.uy * rho
@@ -354,7 +369,6 @@ class _Leg(NamedTuple):
         out[:, 6] = seg.py + seg.vy * (times - seg.t0)
         np.subtract(out[:, 5:7], out[:, 1:3], out=out[:, 3:5])
         out[:, 7:] = self.consts
-        return out
 
 
 def _start_leg(seg, t, mx, my, v_m, eps):
@@ -401,21 +415,26 @@ def _planar_run(segs, v_m, dt, eps, t_max):
 
     Nodes sit ``dt`` apart, summed in order from the previous node, with a
     short step onto each leg start and onto ``t_max``; a node within 1e-9
-    of a leg start switches to that leg.  Contact inside a step ends the
-    run on a node at the contact time, on the hit sphere.
+    of a leg start, relative to it, switches to that leg.  Contact inside a
+    step ends the run on a node at the contact time, on the hit sphere.
+    The stretches of nodes are laid out as times and ranges, then written
+    into one (n, 15) table in :meth:`_Leg.fill`'s column order.
     """
-    switch = [s.t0 - 1e-9 * max(1.0, abs(s.t0)) for s in segs[1:]] + [math.inf]
-    t_edge = t_max - 1e-12 * max(1.0, t_max)
+    # A node time is a sum of dt steps, each rounded to half an ulp of the running time, so its drift is
+    # relative to the time: 1e-9 of it covers the rounding of the step budget's 1e7 steps.  A node that
+    # falls short of t_edge is not lost either: the run takes one short step onto t_max after it.
+    switch = [s.t0 - 1e-9 * s.t0 for s in segs[1:]] + [math.inf]
+    t_edge = t_max - 1e-12 * t_max
     t, mx, my = 0.0, 0.0, 0.0
     idx, leg = 0, None
-    chunks = []
+    stretches = []  # (leg, times, ranges)
     while True:
         while t >= switch[idx]:
             idx, leg = idx + 1, None
         if leg is None:
             leg, termination = _start_leg(segs[idx], t, mx, my, v_m, eps)
             if termination is not None:
-                chunks.append(leg.table(np.array([t]), leg.rho0))
+                stretches.append((leg, np.array([t]), leg.rho0))
                 break
         s_next = segs[idx + 1].t0 if idx + 1 < len(segs) else math.inf
         horizon = min(s_next, t_max) - t
@@ -429,15 +448,15 @@ def _planar_run(segs, v_m, dt, eps, t_max):
         event = (times >= switch[idx]) | (rho <= eps) | (times >= t_edge) | (tau <= span) | (span < dt)
         hits = np.flatnonzero(event)
         if hits.size == 0:  # the leg runs on past this chunk
-            chunks.append(leg.table(times[:-1], rho[:-1]))
+            stretches.append((leg, times[:-1], rho[:-1]))
             t = float(times[-1])
             continue
         j = int(hits[0])
         if times[j] >= switch[idx]:
-            chunks.append(leg.table(times[:j], rho[:j]))
+            stretches.append((leg, times[:j], rho[:j]))
             t = float(times[j])
         else:
-            chunks.append(leg.table(times[: j + 1], rho[: j + 1]))
+            stretches.append((leg, times[: j + 1], rho[: j + 1]))
             if rho[j] <= eps:
                 termination = "intercept"
                 break
@@ -445,12 +464,19 @@ def _planar_run(segs, v_m, dt, eps, t_max):
                 termination = "timeout"
                 break
             if tau[j] <= span[j]:
-                chunks.append(leg.table(times[j : j + 1] + tau[j], eps))
+                stretches.append((leg, times[j : j + 1] + tau[j], eps))
                 termination = "intercept"
                 break
             t = float(times[j] + span[j])
-        mx, my = leg.table(np.array([t]), leg.range_at(t))[0, 3:5].tolist()
-    return np.concatenate(chunks), termination
+        node = np.empty((1, 15))
+        leg.fill(node, np.array([t]), leg.range_at(t))
+        mx, my = node[0, 3:5].tolist()
+    table = np.empty((sum(times.size for _, times, _ in stretches), 15))
+    a = 0
+    for leg, times, rho in stretches:
+        leg.fill(table[a : a + times.size], times, rho)
+        a += times.size
+    return table, termination
 
 
 def _engagement_plane(r0: np.ndarray, v: np.ndarray):
@@ -491,34 +517,17 @@ def simulate(scenario: Scenario) -> SimResult:
     r0x, r0y = float(r0[0]), float(r0[1])
     segs = program.planar_segments(r0x, r0y)
 
-    arr, termination = _planar_run(segs, scenario.v_m, scenario.dt, scenario.hit_radius, scenario.t_max)
-    times = arr[:, 0]
+    table, termination = _planar_run(segs, scenario.v_m, scenario.dt, scenario.hit_radius, scenario.t_max)
     if termination == "timeout":
-        times[-1] = scenario.t_max  # snap the ulp-level drift of accumulated steps
-    g = arr[:, 1:3]
-    m = arr[:, 3:5]
-    tpos = arr[:, 5:7]
-    pv = arr[:, 7:9]
-    tv = arr[:, 9:11]
-
-    if basis is not None:
-        g, m, tpos, pv, tv = (a @ basis for a in (g, m, tpos, pv, tv))
-
-    return SimResult(
-        scenario=scenario,
-        times=times,
-        r=g,
-        r_m=m,
-        r_t=tpos,
-        v_m=pv,
-        v_t=tv,
-        lam=arr[:, 11],
-        theta=arr[:, 12],
-        delta=arr[:, 13],
-        F=arr[:, 14],
-        termination=termination,
-        intercept=termination == "intercept",
-    )
+        table[-1, 0] = scenario.t_max  # snap the ulp-level drift of accumulated steps
+    if basis is not None:  # lift the five planar vectors into the 3-d table's columns
+        lifted = np.empty((table.shape[0], 20))
+        lifted[:, 0] = table[:, 0]
+        for k in range(5):
+            np.matmul(table[:, 1 + 2 * k : 3 + 2 * k], basis, out=lifted[:, 1 + 3 * k : 4 + 3 * k])
+        lifted[:, 16:] = table[:, 11:]
+        table = lifted
+    return SimResult(scenario, table, termination, termination == "intercept")
 
 
 # ---------------------------------------------------------------------------
@@ -536,35 +545,24 @@ def reparametrize_unit_F(result: SimResult) -> SimResult:
     application is the identity.  Requires a strictly closing run with
     finite positive F everywhere.
     """
-    rn = np.linalg.norm(result.r, axis=1)
-    if not np.all(np.diff(rn) < 0.0):
+    if not np.all(np.diff(_norm(list(result.r.T))) < 0.0):
         raise InvalidInputError("reparametrization needs a strictly closing trajectory")
     F = result.F
     if not np.all(np.isfinite(F)) or np.any(F <= 0.0):
         raise InvalidInputError("reparametrization needs finite positive metric values")
 
-    dt = np.diff(result.times)
-    s = np.concatenate([[0.0], np.cumsum(0.5 * (F[1:] + F[:-1]) * dt)])
-    rate = F.copy()
-    if result.parameter_rate is not None:
-        rate = rate * result.parameter_rate
-
-    return SimResult(
-        scenario=result.scenario,
-        times=s,
-        r=result.r,
-        r_m=result.r_m,
-        r_t=result.r_t,
-        v_m=result.v_m / F[:, None],
-        v_t=result.v_t / F[:, None],
-        lam=result.lam,
-        theta=result.theta,
-        delta=result.delta,
-        F=F / F,
-        termination=result.termination,
-        intercept=result.intercept,
-        parameter_rate=rate,
-    )
+    d = result.scenario.dim
+    table = np.empty((result.n_nodes, 6 + 5 * d))
+    table[0, 0] = 0.0
+    np.cumsum(0.5 * (F[1:] + F[:-1]) * np.diff(result.times), out=table[1:, 0])
+    table[:, 1 : 4 + 5 * d] = result.table[:, 1 : 4 + 5 * d]
+    table[:, 1 + 3 * d : 1 + 5 * d] /= F[:, None]  # v_m and v_t
+    np.divide(F, F, out=table[:, 4 + 5 * d])
+    if result.parameter_rate is None:
+        table[:, 5 + 5 * d] = F
+    else:
+        np.multiply(F, result.parameter_rate, out=table[:, 5 + 5 * d])
+    return dc_replace(result, table=table)
 
 
 def relative_course(result: SimResult) -> CurveRecord:
@@ -590,11 +588,20 @@ def collinearity_defect(result: SimResult) -> np.ndarray:
     measures how far a recorded run deviates.  Nodes with a vanishing
     rate (or range) give NaN.
     """
-    v = result.v_t - result.v_m
-    if result.r.shape[1] == 2:
-        cross = np.abs(result.r[:, 0] * v[:, 1] - result.r[:, 1] * v[:, 0])
-    else:
-        cross = np.linalg.norm(np.cross(result.r, v), axis=1)
-    den = np.linalg.norm(result.r, axis=1) * np.linalg.norm(v, axis=1)
+    r = list(result.r.T)
+    v = [vt - vm for vt, vm in zip(result.v_t.T, result.v_m.T)]
+    if len(r) == 2:
+        cross = np.abs(r[0] * v[1] - r[1] * v[0])
+    else:  # np.cross's products and differences, in its order
+        cross = _norm([r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0]])
+    den = _norm(r) * _norm(v)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(den > 0.0, cross / den, np.nan)
+
+
+def _norm(components: list[np.ndarray]) -> np.ndarray:
+    """Row norms from the component columns, the squares summed in order as ``np.linalg.norm(axis=1)`` sums them."""
+    total = components[0] * components[0]
+    for c in components[1:]:
+        total += c * c
+    return np.sqrt(total)

@@ -315,8 +315,7 @@ def simulate_rk4(scenario) -> SimResult:
     cols = [arr[:, k:k + 2] for k in (1, 3, 5, 7, 9)]
     if basis is not None:
         cols = [a @ basis for a in cols]
-    return SimResult(scenario, times, *cols, arr[:, 11], arr[:, 12], arr[:, 13], arr[:, 14],
-                     termination, intercept)
+    return SimResult(scenario, np.column_stack([times, *cols, arr[:, 11:]]), termination, intercept)
 
 
 def polar_rates(

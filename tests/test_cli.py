@@ -5,6 +5,8 @@ import json
 import struct
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,6 +310,50 @@ def test_write_csv_matches_the_row_wise_writer(tmp_path_factory, table):
     header = [f"c{j}" for j in range(len(table[0]))]
     cli.write_csv(path, header, np.array(table, dtype=float))
     assert path.read_bytes() == csv_text(header, table).encode()
+
+
+@given(block=st.integers(1, 4), table=st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.lists(st.sampled_from(_POOL[:6]), min_size=m, max_size=m), min_size=1, max_size=14)
+))
+def test_write_csv_in_small_row_blocks_matches_the_row_wise_writer(tmp_path_factory, block, table):
+    """Runs of -0.0, NaN payloads and infinities cross the edges of blocks of 1 to 4 rows."""
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{j}" for j in range(len(table[0]))]
+    with mock.patch.object(cli, "_CSV_ROWS", block):
+        cli.write_csv(path, header, np.array(table, dtype=float))
+    assert path.read_bytes() == csv_text(header, table).encode()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+def test_write_csv_writes_every_row_of_whole_and_partial_blocks(tmp_path, rows):
+    """Blocks of 3 rows: tables of k blocks, k blocks +- 1 row, one row and none."""
+    pattern = [_NAN_WITH_PAYLOAD, -0.0, 0.0, 1.0 / 3.0, 1.0 / 3.0, -0.0, -0.0, 1e16, 1e16, 1e16]
+    cells = [[pattern[0], pattern[i], pattern[(i + 1) // 3], 0.1 * i, 2.5] for i in range(rows)]
+    table = np.array(cells).reshape(rows, 5)  # (0, 5) when there are no rows
+    header = ["nan", "pattern", "thirds", "steps", "constant"]
+    with mock.patch.object(cli, "_CSV_ROWS", 3):
+        cli.write_csv(tmp_path / "t.csv", header, table)
+    assert (tmp_path / "t.csv").read_bytes() == csv_text(header, table.tolist()).encode()
+
+
+def test_simulate_at_2e5_nodes_holds_under_400_bytes_a_node(tmp_path):
+    """A timeout run that lays out 2e5 nodes holds one node table and the text of one block of rows."""
+    doc = scenario_doc()
+    doc["scenario"].update(target={"type": "constant", "speed": 100.0, "heading_deg": 0.0},
+                           ratio=0.5, dt=1e-4, t_max=20.0)  # the target outruns the pursuer
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["simulate", str(path), "--out", str(out), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    summary = json.loads((tmp_path / "run.csv.record.json").read_text())["summary"]
+    out.unlink()
+    assert code == 0 and summary["termination"] == "timeout"
+    assert summary["n_nodes"] >= 200_000
+    assert peak / summary["n_nodes"] < 400
 
 
 # --- optimal / pmp-check ---------------------------------------------------------

@@ -76,6 +76,17 @@ def test_blocks_and_the_empty_array():
     assert chars.shape == (0, 32) and lengths.shape == (0,)
 
 
+@pytest.mark.parametrize("draw", ["uniform-5000", "unit", "thousandths", "times"])
+def test_blocks_without_scientific_values_format_as_repr(draw):
+    """Whole blocks of positional values, as simulation tables hold them, take the kernel's positional path."""
+    rng, n = np.random.default_rng(11), 2 * _floatfmt._BLOCK
+    values = {"uniform-5000": lambda: rng.uniform(-5000.0, 5000.0, n),
+              "unit": lambda: rng.uniform(0.0, 1.0, n),
+              "thousandths": lambda: rng.uniform(1e-3, 1e-2, n),
+              "times": lambda: np.round(rng.uniform(0.0, 20.0, n), 3)}[draw]()
+    _assert_repr(values)
+
+
 def test_power_table_exceeds_the_exact_powers_by_at_most_one():
     g1, g0, e = _floatfmt._powers()
     for K, hi, lo, exp in zip(range(_floatfmt._K_LO, _floatfmt._K_HI + 1), g1.tolist(), g0.tolist(),
