@@ -268,9 +268,9 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
 
     ``x0`` and ``y0`` must be finite 2-vectors, ``horizon`` and ``step``
     positive and finite, and ``horizon`` an integer multiple of ``step``
-    (to 1e-9 relative).  If any RK4 stage needs the metric outside its
-    domain, a :class:`PartialCurveError` carrying the completed prefix is
-    raised.
+    (to 1e-9 relative).  If any RK4 stage, or the last node, needs the
+    metric outside its domain, a :class:`PartialCurveError` carrying the
+    in-domain prefix is raised, whatever the horizon.
     """
     if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
         raise InvalidInputError("horizon and step must be positive and finite")
@@ -280,23 +280,20 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
 
     flow = _PlanarFlow(metric)
     states = [(*_planar_vector(x0, "x0"), *_planar_vector(y0, "y0"))]
-    for k in range(n_steps):
-        try:
-            states.append(flow.step(states[-1], step))
-        except OutOfDomainError as exc:
-            # a completed step can land outside the domain: keep the leading in-domain nodes
-            Z = np.array(states)
-            n = int(np.cumprod(metric.value_many(Z[:, :2], Z[:, 2:])[1] > 0.0).sum())
-            partial = _flow_curve(metric, np.arange(n) * step, states[:n]) if n >= 2 else None
-            raise PartialCurveError(
-                f"geodesic left the metric domain during step {k} (t = {k * step:.6g})",
-                partial=partial,
-            ) from exc
-
     try:
+        for _ in range(n_steps):
+            states.append(flow.step(states[-1], step))
         return _flow_curve(metric, np.arange(n_steps + 1) * step, states)
-    except OutOfDomainError as exc:  # final node slipped out between stages
-        raise PartialCurveError("geodesic endpoint left the metric domain", partial=None) from exc
+    except OutOfDomainError as exc:
+        # a completed step, the last one too, can land outside the domain: keep the leading in-domain nodes
+        k = len(states) - 1
+        Z = np.array(states)
+        n = int(np.cumprod(metric.value_many(Z[:, :2], Z[:, 2:])[1] > 0.0).sum())
+        partial = _flow_curve(metric, np.arange(n) * step, states[:n]) if n >= 2 else None
+        raise PartialCurveError(
+            f"geodesic left the metric domain during step {k} (t = {k * step:.6g})",
+            partial=partial,
+        ) from exc
 
 
 def action_integral(curve: CurveRecord) -> float:

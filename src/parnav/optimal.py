@@ -263,25 +263,26 @@ def _next_launch_angle(misses: list[tuple[float, float]], phi_aim: float, r0: fl
     return phi_b - m_b * (phi_b - phi_a) / (m_b - m_a)
 
 
-def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: float, n_max: int) -> _Shot:
+def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: float, n_max: int, phi=None) -> _Shot:
     """Shoot on the launch angle until a geodesic enters the hit sphere.
 
-    The first shot aims at the origin; each later angle comes from the
-    misses measured so far (:func:`_next_launch_angle`: Newton guess,
-    then secant, then Illinois regula falsi once the target is
-    bracketed).  No angle is fired twice.  When a shot leaves the metric
-    domain (:func:`_shoot` returns None), or the proposed angle was fired
-    already or lies a right angle or more off the aim (such a course
-    recedes from its start), the next unused angle of the fan ``phi_aim +-
-    k _FAN_STEP`` is shot instead.  After ``_MAX_SHOTS`` shots it raises
-    :class:`ConvergenceError` naming the best miss and its angle.
+    The first shot is at the launch angle ``phi``, or at the aim at the
+    origin when ``phi`` is None; each later angle comes from the misses
+    measured so far (:func:`_next_launch_angle`: Newton guess, then secant,
+    then Illinois regula falsi once the target is bracketed).  No angle is
+    fired twice.  When a shot leaves the metric domain (:func:`_shoot`
+    returns None), or the proposed angle was fired already or lies a right
+    angle or more off the aim (such a course recedes from its start), the
+    next unused angle of the fan ``phi_aim +- k _FAN_STEP`` is shot instead.
+    After ``_MAX_SHOTS`` shots it raises :class:`ConvergenceError` naming
+    the best miss and its angle.
     """
     phi_aim = math.atan2(-x0[1], -x0[0])
     r0 = float(np.linalg.norm(x0))
     fan = (phi_aim + sgn * k * _FAN_STEP for k in itertools.count(1) for sgn in (1.0, -1.0))
     fired: set[float] = set()
     misses: list[tuple[float, float]] = []  # (phi, signed miss) of the shots that stayed in the domain
-    phi = phi_aim
+    phi = phi_aim if phi is None else phi
     for _ in range(_MAX_SHOTS):
         fired.add(phi)
         s = _shoot(metric, flow, x0, phi, step, n_max, eps)
@@ -317,10 +318,11 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     grid, laid out in the scenario's own dimension, and no geodesic is shot;
     otherwise it is found by shooting on the launch angle:
     :func:`_hitting_shot` aims on probe shots of step ``t_hat / 64``, then
-    one shot at ``step`` from their hitting angle marches the course; if the
-    probes fail, or that shot misses, leaves the domain or strays from unit
-    F by more than 1e-9, the search runs again at ``step`` (as it does alone
-    for a ``step`` of ``t_hat / 64`` or more).  :class:`UnreachableError` is
+    one search at ``step`` makes the course.  Its first shot is at the
+    probes' hitting angle; should that shot miss or leave the domain, the
+    search goes on from there.  If the probes find no hitting angle, the
+    search at ``step`` starts from the aim at the origin, as it does alone
+    for a ``step`` of ``t_hat / 64`` or more.  :class:`UnreachableError` is
     raised when the course cannot reach the target: in a constant field,
     when the chord does not close or its closed-form time to the hit sphere,
     ``F_0(x0, -x0) (|x0| - eps) / |x0|``, exceeds ``t_max``; in any other
@@ -380,15 +382,12 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
         y0 = metric.unit_vector(x0, -x0 / range0)
         curve = curve_from_arrays(metric, times, x0 + times[:, None] * y0, np.tile(y0, (times.size, 1)))
     else:
-        probe, curve = t_hat / _PROBE_DIVISOR, None
-        if step < probe:  # aim on probe shots, then march the course once at the asked-for step
+        probe, phi = t_hat / _PROBE_DIVISOR, None
+        if step < probe:  # aim on probe shots; the search at the asked-for step starts from their angle
             with contextlib.suppress(ConvergenceError):
-                aim = _hitting_shot(metric, flow, x0, eps, probe, math.ceil(horizon / probe))
-                shot = _shoot(metric, flow, x0, aim.phi, step, math.ceil(horizon_steps), eps)
-                curve = _flow_curve(metric, shot.times, shot.states) if shot is not None and shot.hit else None
-        if curve is None or not np.max(np.abs(curve.F_values - 1.0)) <= 1e-9:  # the search at the asked-for step
-            shot = _hitting_shot(metric, flow, x0, eps, step, math.ceil(horizon_steps))
-            curve = _flow_curve(metric, shot.times, shot.states)
+                phi = _hitting_shot(metric, flow, x0, eps, probe, math.ceil(horizon / probe)).phi
+        shot = _hitting_shot(metric, flow, x0, eps, step, math.ceil(horizon_steps), phi)
+        curve = _flow_curve(metric, shot.times, shot.states)
     unit_defect = float(np.max(np.abs(curve.F_values - 1.0)))
     if not unit_defect <= 1e-9:
         raise ConvergenceError(f"the hitting geodesic is not unit-F parametrized (max |F - 1| = {unit_defect:.3g})")

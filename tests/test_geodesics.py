@@ -311,9 +311,8 @@ def test_partial_curve_on_domain_exit():
     np.testing.assert_array_equal(partial.velocities, prefix.velocities)
 
 
-def test_partial_curve_when_a_completed_step_lands_outside_the_domain():
-    # step 1 completes outside the domain and step 2 fails on its starting node,
-    # which the partial curve leaves out
+def _step_lands_outside_the_domain():
+    """A metric and start ``(x0, y0)`` whose geodesic's step 1 of 0.5 completes outside the domain."""
     field = LinearField(
         [-0.1122950392032509, -0.4519825765820963],
         [[1.8029114663218433, 1.5018035747708627], [3.3862139859998583, 2.120214740918297]],
@@ -321,6 +320,13 @@ def test_partial_curve_when_a_completed_step_lands_outside_the_domain():
     m = NavMetric(NavMetricParams(1.0, 0.0), field)
     x0 = np.array([0.3126756136731912, -0.9762293199416299])
     y0 = m.unit_vector(x0, np.array([math.cos(0.32925720094492933), math.sin(0.32925720094492933)]))
+    return m, x0, y0
+
+
+def test_partial_curve_when_a_completed_step_lands_outside_the_domain():
+    # step 1 completes outside the domain and step 2 fails on its starting node,
+    # which the partial curve leaves out
+    m, x0, y0 = _step_lands_outside_the_domain()
     with pytest.raises(PartialCurveError, match="during step 2") as exc_info:
         integrate_geodesic(m, x0, y0, horizon=20.0, step=0.5)
     partial = exc_info.value.partial
@@ -329,6 +335,23 @@ def test_partial_curve_when_a_completed_step_lands_outside_the_domain():
     np.testing.assert_array_equal(partial.positions[0], x0)
     assert np.all(np.isfinite(partial.F_values))
     m.F_many(partial.positions, partial.velocities)  # every node is in the domain
+
+
+def test_partial_curve_when_the_last_step_lands_outside_the_domain():
+    # the course above over two steps only: the last step completes outside the domain, and the error
+    # keeps the same in-domain prefix as the longer horizon does
+    m, x0, y0 = _step_lands_outside_the_domain()
+    errors = []
+    for horizon in (1.0, 20.0):
+        with pytest.raises(PartialCurveError) as exc_info:
+            integrate_geodesic(m, x0, y0, horizon=horizon, step=0.5)
+        errors.append(exc_info.value)
+    last, longer = errors
+    assert last.partial is not None
+    assert str(last) == str(longer)
+    np.testing.assert_array_equal(last.partial.times, [0.0, 0.5])
+    for name in ("positions", "velocities", "F_values"):
+        np.testing.assert_array_equal(getattr(last.partial, name), getattr(longer.partial, name))
 
 
 @pytest.mark.parametrize(
