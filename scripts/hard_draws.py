@@ -45,11 +45,11 @@ def hard_draws(seed: int, n: int) -> list:
 
 def solve(scenario, field) -> dict:
     """Solve one draw, counting the RK4 steps of the planar flow it takes."""
-    step, steps = _PlanarFlow.step, [0]
+    real_step, steps = _PlanarFlow.step, [0]
 
     def counted(self, z, h):
         steps[0] += 1
-        return step(self, z, h)
+        return real_step(self, z, h)
 
     _PlanarFlow.step = counted
     try:
@@ -58,7 +58,7 @@ def solve(scenario, field) -> dict:
     except ParnavError as exc:
         row = {"status": type(exc).__name__, "t_f": "", "nodes": "", "message": str(exc)}
     finally:
-        _PlanarFlow.step = step
+        _PlanarFlow.step = real_step
     row["rk4_steps"] = steps[0]
     return row
 
@@ -75,11 +75,10 @@ def main(argv=None) -> int:
         for seed, n in SETS.items():
             rows = [{"seed": seed, "draw": k, **solve(*draw)} for k, draw in enumerate(hard_draws(seed, n))]
             writer.writerows(rows)
-            solved = [r for r in rows if r["status"] == "solved"]
-            print(
-                f"seed {seed}: {len(solved)} of {n} solved; RK4 steps {sum(r['rk4_steps'] for r in solved)} "
-                f"for answers, {sum(r['rk4_steps'] for r in rows) - sum(r['rk4_steps'] for r in solved)} for refusals"
-            )
+            answers = [r["rk4_steps"] for r in rows if r["status"] == "solved"]
+            refusals = [r["rk4_steps"] for r in rows if r["status"] != "solved"]
+            print(f"seed {seed}: {len(answers)} of {n} solved; RK4 steps {sum(answers)} for answers, "
+                  f"{sum(refusals)} for refusals")
     print(f"wrote {args.out}")
     return 0
 
