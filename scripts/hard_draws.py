@@ -1,46 +1,26 @@
 #!/usr/bin/env python3
 """Hard shear draws: which ones the shooter solves, their t_f, and the RK4 steps each solve takes.
 
-Each draw is a stationary target at the origin, a pursuer of speed 2 and a
-linear field ``v_T(x) = b + A x`` with ``A`` U(-1.2, 1.2)^(2x2), ``b``
-U(-0.3, 0.3)^2, start range U(1, 3) at a bearing U(-pi, pi), hit radius
-log-uniform in [5e-3, 5e-2] and ``t_max`` 10, drawn in that order from
-``numpy.random.default_rng(seed)``.  Many of these geodesics cross the part of
-the field where the metric is not strongly convex, so some solves are refused.
-Two sets are run: 300 draws of seed 7 and 600 of seed 2026.  The CSV has one
-row a draw: its status (``solved`` or the refusal's exception class), t_f and
-node count of a solved course, the RK4 steps of ``_PlanarFlow.step`` the solve
-took, and a refusal's message.
+The draws are the ``hard_shear`` family of ``tests/draws.py``: strong shears whose geodesics often leave the
+strongly convex part of the metric, so some solves are refused.  Two sets are run: 300 draws of
+``numpy.random.default_rng(7)`` and 600 of ``default_rng(2026)``.  The CSV has one row a draw: its status
+(``solved`` or the refusal's exception class), t_f and node count of a solved course, the RK4 steps of
+``_PlanarFlow.step`` the solve took, and a refusal's message.  Run it from the repository root, with the package
+and the root on the path:
 
-    PYTHONPATH=src python3 scripts/hard_draws.py --out results/hard_draws.csv
+    PYTHONPATH=src:. python3 scripts/hard_draws.py --out results/hard_draws.csv
 """
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from parnav import ConstantVelocity, LinearField, ParnavError, Scenario, optimal_trajectory
+from parnav import ParnavError, optimal_trajectory
 from parnav.geodesics import _PlanarFlow
+from tests.draws import hard_shear
 
 SETS = {7: 300, 2026: 600}
-
-
-def hard_draws(seed: int, n: int) -> list:
-    """The first ``n`` draws of ``default_rng(seed)``, as ``(scenario, field)``."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        gradient, base = rng.uniform(-1.2, 1.2, (2, 2)), rng.uniform(-0.3, 0.3, 2)
-        r, bearing = rng.uniform(1.0, 3.0), rng.uniform(-math.pi, math.pi)
-        hit = math.exp(rng.uniform(math.log(5e-3), math.log(5e-2)))
-        r0 = r * np.array([math.cos(bearing), math.sin(bearing)])
-        scenario = Scenario(r0=r0, program=ConstantVelocity(0.0, 0.0), v_m=2.0, hit_radius=hit, t_max=10.0)
-        out.append((scenario, LinearField(base, gradient)))
-    return out
 
 
 def solve(scenario, field) -> dict:
@@ -73,7 +53,7 @@ def main(argv=None) -> int:
         writer = csv.DictWriter(fh, ["seed", "draw", "status", "t_f", "nodes", "rk4_steps", "message"])
         writer.writeheader()
         for seed, n in SETS.items():
-            rows = [{"seed": seed, "draw": k, **solve(*draw)} for k, draw in enumerate(hard_draws(seed, n))]
+            rows = [{"seed": seed, "draw": k, **solve(*draw)} for k, draw in enumerate(hard_shear.draws(seed, n))]
             writer.writerows(rows)
             answers = [r["rk4_steps"] for r in rows if r["status"] == "solved"]
             refusals = [r["rk4_steps"] for r in rows if r["status"] != "solved"]

@@ -153,7 +153,8 @@ class Waypoints:
         return self.speed
 
     def planar_segments(self, r0x: float, r0y: float) -> list[_Segment]:
-        if not np.allclose(self.points[0], (r0x, r0y), atol=1e-9):
+        # relative to the start range, so the check means the same in any unit of length
+        if not math.hypot(self.points[0, 0] - r0x, self.points[0, 1] - r0y) <= 1e-9 * math.hypot(r0x, r0y):
             raise InvalidInputError("first waypoint must equal the scenario's initial target position")
         segs = []
         t = 0.0
@@ -415,16 +416,18 @@ def _planar_run(segs, v_m, dt, eps, t_max):
 
     Nodes sit ``dt`` apart, summed in order from the previous node, with a
     short step onto each leg start and onto ``t_max``; a node within 1e-9
-    of a leg start, relative to it, switches to that leg.  Contact inside a
+    of a leg start, relative to it, switches to that leg, and one within
+    1e-9 of ``t_max``, relative to it, ends the run.  Contact inside a
     step ends the run on a node at the contact time, on the hit sphere.
     The stretches of nodes are laid out as times and ranges, then written
     into one (n, 15) table in :meth:`_Leg.fill`'s column order.
     """
     # A node time is a sum of dt steps, each rounded to half an ulp of the running time, so its drift is
-    # relative to the time: 1e-9 of it covers the rounding of the step budget's 1e7 steps.  A node that
-    # falls short of t_edge is not lost either: the run takes one short step onto t_max after it.
+    # relative to the time: 1e-9 of it covers the rounding of the step budget's 1e7 steps, both at a leg
+    # start and at t_max (dt 1e-4 drifts by 3.3e-11 over 20).  A node that falls short of t_edge is not lost
+    # either: the run takes one short step onto t_max after it.
     switch = [s.t0 - 1e-9 * s.t0 for s in segs[1:]] + [math.inf]
-    t_edge = t_max - 1e-12 * t_max
+    t_edge = t_max - 1e-9 * t_max
     t, mx, my = 0.0, 0.0, 0.0
     idx, leg = 0, None
     stretches = []  # (leg, times, ranges)
@@ -508,7 +511,7 @@ def simulate(scenario: Scenario) -> SimResult:
     declared as soon as the range enters the hit sphere
     ``|r| <= hit_radius``; contact inside a step is solved in closed form
     and the final node sits on the sphere.  On timeout the final node
-    lands exactly at ``t_max``.
+    lands on ``t_max``, to within 1e-9 of it.
     """
     basis, r0, program = None, scenario.r0, scenario.program
     if scenario.dim == 3:

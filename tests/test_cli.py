@@ -535,8 +535,8 @@ def _stationary_shear(r0, base, gradient):
 # Shear fields whose geodesics to the target cross the non-convex part of the metric (1 + 2|b|^2 - 3s < 0),
 # where RK4 loses unit F and shots are chaotic in the launch angle, so the test pins the exit code only:
 # "nonconvex" once came back as an "optimal" course with max |F - 1| = 0.0351.  "off-unit" is draw 31 of
-# default_rng(2026) (per draw: gradient U(-1.2, 1.2)^(2x2), base U(-0.3, 0.3)^2, |r0| U(1, 3), bearing
-# U(-pi, pi)), the first draw refused for unit F: its probe shots find no hitting angle, and the search at the
+# default_rng(2026) in the ranges of tests/draws.py's `hard_shear`, but with the hit radius fixed at 0.01 rather
+# than drawn, the first draw refused for unit F: its probe shots find no hitting angle, and the search at the
 # course's own step returns a course with max |F - 1| = 8.95e-05 (with a bisection end point, 9.1e-05).
 _NONCONVEX_SHEAR = {
     "nonconvex": _stationary_shear(

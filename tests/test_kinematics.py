@@ -25,6 +25,7 @@ from parnav import (
     simulate,
 )
 from tests.conftest import CLOSING, DELTA0, TF_SPHERE, THETA0
+from tests.draws import PIECEWISE, SPACE, WAYPOINTS, orthogonals, rotate
 from tests.reference import polar_rates, reconstruct_pursuer, simulate_rk4, target_path
 
 
@@ -88,6 +89,22 @@ def test_waypoints_must_start_at_r0():
     w = Waypoints([(0.0, 0.0), (10.0, 0.0)], speed=5.0)
     with pytest.raises(InvalidInputError):
         w.planar_segments(100.0, 0.0)
+
+
+@pytest.mark.parametrize("r0, first, starts", [
+    ((1000.0, 0.0), (1000.009, 0.0), False),
+    ((1000.0, 0.0), (1000.0, 0.0099), False),
+    ((1000.0, 0.0), (1000.0000005, 0.0), True),
+    ((1e-3, 2e-3), (1e-3, 2e-3 + 1e-10), False),  # inside an absolute 1e-9
+    ((1e-3, 2e-3), (1e-3, 2e-3 + 1e-13), True),
+])
+def test_first_waypoint_is_r0_to_1e_9_of_the_range(r0, first, starts):
+    w = Waypoints([first, (0.0, 0.0)], speed=5.0)
+    if starts:
+        assert w.planar_segments(*r0)[0].px == first[0]
+    else:
+        with pytest.raises(InvalidInputError, match="first waypoint"):
+            w.planar_segments(*r0)
 
 
 # --- scenario validation ------------------------------------------------------
@@ -155,6 +172,17 @@ def test_timeout_hits_t_max_exactly():
     assert res.t_f == 1.0
 
 
+@pytest.mark.parametrize("t_max", [20.0, 13.0])
+def test_timeout_run_ends_on_its_last_due_node(t_max):
+    # the target outruns the pursuer; node times summed in order drift from k dt by a few 1e-11 at the end,
+    # which must not add a node a few 1e-11 before t_max
+    sc = Scenario(r0=np.array([100.0, 0.0]), program=ConstantVelocity(3.0, 0.0), v_m=2.0, dt=1e-4, t_max=t_max)
+    res = simulate(sc)
+    assert res.termination == "timeout"
+    assert res.n_nodes == round(t_max / sc.dt) + 1
+    assert res.t_f == pytest.approx(t_max, rel=1e-9)
+
+
 @settings(max_examples=10)
 @given(
     ratio=st.floats(1.1, 4.0),
@@ -173,17 +201,13 @@ def test_simulated_time_matches_closed_form(ratio, theta_deg):
 
 
 def test_piecewise_target_keeps_unit_f():
-    legs = [(1.5, 100.0, 0.5), (1.5, 80.0, -0.8), (10.0, 60.0, 2.0)]
-    sc = Scenario(r0=np.array([800.0, 0.0]), program=PiecewiseConstant(legs), v_m=220.0)
-    res = simulate(sc)
+    res = simulate(PIECEWISE)
     assert res.termination == "intercept"
     assert float(np.max(np.abs(res.F - 1.0))) < 1e-12
 
 
 def test_waypoint_target_intercepted():
-    pts = [(500.0, 0.0), (500.0, 300.0), (200.0, 300.0)]
-    sc = Scenario(r0=np.array([500.0, 0.0]), program=Waypoints(pts, speed=60.0), v_m=150.0)
-    res = simulate(sc)
+    res = simulate(WAYPOINTS)
     assert res.termination == "intercept"
     assert float(np.max(np.abs(res.F - 1.0))) < 1e-12
 
@@ -235,20 +259,15 @@ def test_collinearity_defect_small_on_parallel_run(example_scenario):
 
 
 def test_three_dimensional_intercept():
-    sc = Scenario(
-        r0=np.array([800.0, 300.0, 500.0]),
-        program=ConstantVelocity.from_vector([30.0, -40.0, 10.0]),
-        v_m=150.0,
-    )
-    res = simulate(sc)
+    res = simulate(SPACE)
     assert res.termination == "intercept"
     assert np.linalg.norm(res.r[-1]) == pytest.approx(0.5, rel=1e-6)
     assert float(np.max(np.abs(res.F - 1.0))) < 1e-9
     # motion stays in the engagement plane spanned by r0 and v_T
-    normal = np.cross(sc.r0, sc.program.vector)
+    normal = np.cross(SPACE.r0, SPACE.program.vector)
     normal /= np.linalg.norm(normal)
     offsets = res.r @ normal
-    assert float(np.max(np.abs(offsets))) < 1e-9 * np.linalg.norm(sc.r0)
+    assert float(np.max(np.abs(offsets))) < 1e-9 * np.linalg.norm(SPACE.r0)
 
 
 def test_three_dimensional_needs_constant_program():
@@ -284,10 +303,6 @@ def test_closed_form_tail_chase_and_stationary():
 ANGLES = st.floats(-math.pi, math.pi)
 
 
-def _direction(azimuth: float, z: float) -> np.ndarray:
-    return np.array([math.sqrt(1.0 - z * z) * math.cos(azimuth), math.sqrt(1.0 - z * z) * math.sin(azimuth), z])
-
-
 @st.composite
 def engagements(draw, kind: str) -> Scenario:
     """A scenario of one program kind, at most ~2k nodes long at dt = 1e-3."""
@@ -298,11 +313,8 @@ def engagements(draw, kind: str) -> Scenario:
     r0 = range0 * np.array([math.cos(bearing), math.sin(bearing)])
     if kind in ("c2", "c3"):
         v_m = draw(st.floats(0.6, 3.0)) * v_t
-        if kind == "c2":
-            return Scenario(r0=r0, program=ConstantVelocity(v_t, draw(ANGLES)), v_m=v_m, **steps)
-        r0 = range0 * _direction(bearing, draw(st.floats(-1.0, 1.0)))
-        v = v_t * _direction(draw(ANGLES), draw(st.floats(-1.0, 1.0)))
-        return Scenario(r0=r0, program=ConstantVelocity.from_vector(v), v_m=v_m, **steps)
+        sc = Scenario(r0=r0, program=ConstantVelocity(v_t, draw(ANGLES)), v_m=v_m, **steps)
+        return sc if kind == "c2" else rotate(sc, None, draw(orthogonals(3))[:, :2])[0]  # lifted into space
     v_m = draw(st.floats(1.2, 3.0)) * v_t
     top = min(300.0, v_m / 1.2)  # every leg stays feasible and closing
     n = draw(st.integers(2, 4))
@@ -315,24 +327,6 @@ def engagements(draw, kind: str) -> Scenario:
         heading = draw(ANGLES)
         pts.append(pts[-1] + draw(st.floats(20.0, 200.0)) * np.array([math.cos(heading), math.sin(heading)]))
     return Scenario(r0=r0, program=Waypoints(pts, speed=v_t), v_m=v_m, **steps)
-
-
-def _rotated(scenario: Scenario, angle: float, axis) -> Scenario:
-    """The scenario with r0 and the target's motion turned by ``angle`` (about ``axis`` in 3-d)."""
-    if scenario.dim == 3:
-        k = np.asarray(axis) / np.linalg.norm(axis)
-        K = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-        R = np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-        return scenario.with_(r0=R @ scenario.r0, program=ConstantVelocity.from_vector(R @ scenario.program.vector))
-    R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-    program = scenario.program
-    if isinstance(program, ConstantVelocity):
-        program = ConstantVelocity.from_vector(R @ program.vector)
-    elif isinstance(program, PiecewiseConstant):
-        program = PiecewiseConstant([(d, v, h + angle) for d, v, h in program.legs])
-    else:
-        program = Waypoints(program.points @ R.T, program.speed)
-    return scenario.with_(r0=R @ scenario.r0, program=program)
 
 
 @pytest.mark.parametrize("kind", ["c2", "c3", "pw", "wp"])
@@ -371,14 +365,7 @@ def test_step_budget_horizon_stays_bounded():
 
 def test_closing_legs_hold_F_at_exactly_one(example_scenario):
     """F is identically 1 under parallel navigation; the polar closing speed keeps it without rounding."""
-    legs = [(1.5, 100.0, 0.5), (1.5, 80.0, -0.8), (10.0, 60.0, 2.0)]
-    pts = [(500.0, 0.0), (500.0, 300.0), (200.0, 300.0)]
-    for sc in (example_scenario,
-               Scenario.stationary(1000.0, 200.0),
-               Scenario(r0=np.array([800.0, 0.0]), program=PiecewiseConstant(legs), v_m=220.0),
-               Scenario(r0=np.array([500.0, 0.0]), program=Waypoints(pts, speed=60.0), v_m=150.0),
-               Scenario(r0=np.array([800.0, 300.0, 500.0]),
-                        program=ConstantVelocity.from_vector([30.0, -40.0, 10.0]), v_m=150.0)):
+    for sc in (example_scenario, Scenario.stationary(1000.0, 200.0), PIECEWISE, WAYPOINTS, SPACE):
         res = simulate(sc)
         assert res.termination == "intercept"
         assert np.all(res.F == 1.0)
@@ -403,7 +390,7 @@ def test_long_leg_continues_across_chunks(monkeypatch):
 def test_three_dimensional_run_is_the_lifted_planar_run(data):
     sc = data.draw(engagements("c3"))
     basis = kinematics._engagement_plane(sc.r0, sc.program.vector)[0]
-    planar = sc.with_(r0=basis @ sc.r0, program=ConstantVelocity.from_vector(basis @ sc.program.vector))
+    planar, _ = rotate(sc, None, basis)
     res, flat = simulate(sc), simulate(planar)
     assert res.termination == flat.termination
     np.testing.assert_array_equal(res.times, flat.times)
@@ -418,7 +405,7 @@ def test_three_dimensional_run_is_the_lifted_planar_run(data):
 @given(data=st.data())
 def test_rotation_leaves_the_run_unchanged(kind, data):
     sc = data.draw(engagements(kind))
-    turned = _rotated(sc, data.draw(ANGLES), _direction(data.draw(ANGLES), data.draw(st.floats(-1.0, 1.0))))
+    turned, _ = rotate(sc, None, data.draw(orthogonals(sc.dim)))
     res, rot = simulate(sc), simulate(turned)
     assert rot.termination == res.termination
     assert rot.n_nodes == res.n_nodes

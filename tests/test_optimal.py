@@ -1,10 +1,8 @@
 """Optimality layer: maximized Hamiltonian, certificate, shooting, monotonicity, ODE residual."""
 
 import dataclasses
-import importlib.util
 import itertools
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from parnav import (
     NavMetric,
     NavMetricParams,
     OutOfDomainError,
+    ParnavError,
     PiecewiseConstant,
     Scenario,
     UnreachableError,
@@ -41,7 +40,10 @@ from parnav import (
 from parnav.geodesics import _PlanarFlow
 from parnav.kinematics import _engagement_plane
 from parnav.optimal import _next_launch_angle
+from scripts.hard_draws import solve
 from tests.conftest import CLOSING, DELTA0, THETA0
+from tests.draws import (SPACE, convex_shear, hard_shear, orthogonal, orthogonals, rotate, scale_lengths,
+                         scale_speeds, shoot_shear)
 from tests.reference import geodesic_field, rk4_step, spray_many
 
 
@@ -122,7 +124,8 @@ def test_batched_scan_matches_reference(dim, shear, v_m, delta, field, q):
     ``<d, v_T> > 0`` lose the large lead angles (-inf scan entries)."""
     x, p, d = (np.array(q[k : k + dim]) for k in (0, 3, 6))
     if shear:
-        f = LinearField(0.15 * np.array(field[:dim]), 0.3 * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
+        f = LinearField(shoot_shear.base * np.array(field[:dim]),
+                        shoot_shear.gradient * np.reshape(field[3 : 3 + dim * dim], (dim, dim)))
         metric = NavMetric(NavMetricParams(2.0, delta), f)
         x = 2.0 * x
     else:
@@ -264,13 +267,8 @@ def test_optimal_beats_feedback_law(example_scenario):
 
 
 def test_optimal_trajectory_three_dimensional():
-    sc = Scenario(
-        r0=np.array([800.0, 300.0, 500.0]),
-        program=ConstantVelocity.from_vector([30.0, -40.0, 10.0]),
-        v_m=150.0,
-    )
-    res = simulate(sc)
-    curve = optimal_trajectory(sc)
+    res = simulate(SPACE)
+    curve = optimal_trajectory(SPACE)
     assert curve.dim == 3
     assert np.linalg.norm(curve.positions[-1]) == pytest.approx(0.5, rel=1e-6)
     assert curve.times[-1] < res.t_f
@@ -346,16 +344,12 @@ _CHORDS = [
 @pytest.mark.parametrize("r0, v, v_m, hit", _CHORDS)
 def test_constant_field_course_is_the_hitting_shot_in_closed_form(monkeypatch, r0, v, v_m, hit):
     sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(np.array(v)), v_m=v_m, hit_radius=hit)
-    basis, x0, field = None, -sc.r0, ConstantField(np.array(v))
-    if sc.dim == 3:
-        basis, r0_plane, v_plane = _engagement_plane(sc.r0, field.value)
-        x0, field = -r0_plane, ConstantField(v_plane)
-    metric = NavMetric(NavMetricParams(v_m, 0.0), field)
+    basis = _engagement_plane(sc.r0, sc.program.vector)[0] if sc.dim == 3 else np.eye(2)
+    planar, field = rotate(sc, ConstantField(np.array(v)), basis)  # into the engagement plane
+    metric, x0 = NavMetric(NavMetricParams(v_m, 0.0), field), -planar.r0
     step = metric.F(x0, -x0) / 512.0
     shot = optimal._hitting_shot(metric, _PlanarFlow(metric), x0, hit, step, 3 * 512 + 1)
-    shot_positions = np.array(shot.states)[:, :2]
-    if basis is not None:
-        shot_positions = shot_positions @ basis
+    shot_positions = np.array(shot.states)[:, :2] @ basis
 
     monkeypatch.setattr(optimal, "_shoot", lambda *args: pytest.fail("a geodesic was shot"))
     course = optimal_trajectory(sc)
@@ -365,33 +359,19 @@ def test_constant_field_course_is_the_hitting_shot_in_closed_form(monkeypatch, r
     assert np.all(np.diff(course.times) > 0.0) and np.max(np.abs(course.F_values - 1.0)) <= 1e-12
 
 
-def _rotation(dim, seed):
-    """A random rotation of R^dim (determinant +1)."""
-    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(dim, dim)))
-    q = q * np.sign(np.diag(r))
-    return q if np.linalg.det(q) > 0.0 else q * np.r_[-1.0, np.ones(dim - 1)]
-
-
-def _turned_course(sc, field, Q):
-    """Courses and certificate summaries of ``sc`` in ``field`` and of the scenario turned by ``Q``."""
-    if isinstance(field, ConstantField):
-        turned = ConstantField(Q @ field.value)
-    else:
-        turned = LinearField(Q @ field.base, Q @ field.gradient @ Q.T)
-    program = ConstantVelocity.from_vector(Q @ sc.program.vector)
-    out = []
-    for s, f in ((sc, field), (sc.with_(r0=Q @ sc.r0, program=program), turned)):
-        course = optimal_trajectory(s, f)
-        out.append((course, pmp_check(NavMetric(NavMetricParams(s.v_m), f), course).summary()))
-    return out
+def _certified(sc, field):
+    """The course of ``sc`` in ``field`` and its certificate's summary."""
+    course = optimal_trajectory(sc, field)
+    return course, pmp_check(NavMetric(NavMetricParams(sc.v_m), field), course).summary()
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("r0, v, v_m, hit", _CHORDS)
 def test_constant_field_course_turns_with_the_scenario(r0, v, v_m, hit, seed):
     sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(np.array(v)), v_m=v_m, hit_radius=hit)
-    Q = _rotation(sc.dim, seed)
-    (course, report), (turned, turned_report) = _turned_course(sc, ConstantField(np.array(v)), Q)
+    Q = orthogonal(np.random.default_rng(seed).normal(size=(sc.dim, sc.dim)))
+    field = ConstantField(np.array(v))
+    (course, report), (turned, turned_report) = _certified(sc, field), _certified(*rotate(sc, field, Q))
     assert turned.n_nodes == course.n_nodes
     assert abs(turned.times[-1] - course.times[-1]) <= 1e-12 * course.times[-1]
     assert np.max(np.abs(turned.positions - course.positions @ Q.T)) <= 1e-12 * np.linalg.norm(r0)
@@ -402,9 +382,9 @@ def test_constant_field_course_turns_with_the_scenario(r0, v, v_m, hit, seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_shear_course_turns_with_the_scenario(shear_metric, seed):
-    Q = _rotation(2, seed)
-    sc = _shear_scenario(0.05)
-    (course, report), (turned, turned_report) = _turned_course(sc, shear_metric.field, Q)
+    Q = orthogonal(np.random.default_rng(seed).normal(size=(2, 2)))
+    sc, field = _shear_scenario(0.05), shear_metric.field
+    (course, report), (turned, turned_report) = _certified(sc, field), _certified(*rotate(sc, field, Q))
     assert turned.n_nodes == course.n_nodes
     assert abs(turned.times[-1] - course.times[-1]) <= 1e-9 * course.times[-1]
     assert np.max(np.abs(turned.positions - course.positions @ Q.T)) <= 1e-9 * np.linalg.norm(sc.r0)
@@ -451,13 +431,10 @@ def _shear_scenario(hit_radius):
 @pytest.mark.parametrize("length_scale", [1e-3, 1.0, 1e6])
 def test_certificate_verdict_has_no_unit_of_length(shear_metric, length_scale):
     # the c09 course in other units of length: its residuals scale as 1/length_scale, its verdict must not
-    sc = _shear_scenario(0.05)
-    sc = sc.with_(r0=length_scale * sc.r0, hit_radius=length_scale * sc.hit_radius, t_max=length_scale * sc.t_max)
-    field = LinearField(shear_metric.field.base, shear_metric.field.gradient / length_scale)
-    course = optimal_trajectory(sc, field)
-    report = pmp_check(NavMetric(NavMetricParams(sc.v_m), field), course)
+    sc, field = scale_lengths(_shear_scenario(0.05), shear_metric.field, length_scale)
+    course, report = _certified(sc, field)
     assert course.n_nodes == 449
-    assert report.passed
+    assert report["passed"]
 
 
 @pytest.mark.parametrize("case", ["c09-shear", "3-d-chord"])
@@ -565,62 +542,28 @@ def test_probe_search_that_fails_falls_back_to_the_fine_search(shear_metric, mon
         _same_course(got, fine)
 
 
-def _script(name):
-    """Load ``scripts/<name>.py`` as a module."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_hard_draw_slice_keeps_its_solves_within_its_steps():
     # the first 60 seed-7 draws of scripts/hard_draws.py, whose fields cross the metric's non-convex part:
     # 58 are solved and draws 0 and 57 refused; the bounds are the RK4 step totals the shooter takes on them
     # with the course search seeded by the probes' angle, so a change that spends more must say so here
-    hard = _script("hard_draws")
-    rows = [hard.solve(*draw) for draw in hard.hard_draws(7, 60)]
+    rows = [solve(*draw) for draw in hard_shear.draws(7, 60)]
     solved = {k for k, row in enumerate(rows) if row["status"] == "solved"}
     assert solved >= set(range(60)) - {0, 57}
     assert sum(rows[k]["rk4_steps"] for k in solved) <= 63_909
     assert sum(row["rk4_steps"] for row in rows) - sum(rows[k]["rk4_steps"] for k in solved) <= 35_983
 
 
-def _convex_shear_scenario(grad, base, r, bearing, hit):
-    r0 = r * np.array([math.cos(bearing), math.sin(bearing)])
-    sc = Scenario(r0=r0, program=ConstantVelocity.from_vector(base), v_m=2.0, hit_radius=hit, t_max=10.0)
-    return sc, LinearField(base, np.reshape(grad, (2, 2)))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    grad=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
-    base=st.lists(st.floats(-0.15, 0.15), min_size=2, max_size=2),
-    r=st.floats(1.0, 2.0),
-    bearing=st.floats(-math.pi, math.pi),
-    hit=st.floats(5e-3, 5e-2),
-)
-def test_probe_aimed_course_hits_on_unit_F_in_convex_fields(grad, base, r, bearing, hit):
-    # shoot-shear's ranges; |v_T| < v_M / 2 on the start disk keeps 1 + 2|b|^2 - 3s > 0 where the course
-    # runs (it only approaches the target), so RK4 follows the geodesic: the course must hit, on unit F
-    sc, field = _convex_shear_scenario(grad, base, r, bearing, hit)
-    assume(np.linalg.norm(base) + np.linalg.norm(np.reshape(grad, (2, 2)), 2) * r <= 0.9)
+@settings(max_examples=40)
+@given(draw=convex_shear.strategy())
+def test_probe_aimed_course_hits_on_unit_F_in_convex_fields(draw):
+    # in a convex_shear field RK4 follows the geodesic: the course must hit, on unit F
+    sc, field = draw
     curve = optimal_trajectory(sc, field)
-    assert np.linalg.norm(curve.positions[-1]) == pytest.approx(hit, rel=1e-9)
+    assert np.linalg.norm(curve.positions[-1]) == pytest.approx(sc.hit_radius, rel=1e-9)
     assert np.max(np.abs(curve.F_values - 1.0)) <= 1e-9
 
 
-def _shoot_shear_draws(n):
-    """``n`` draws of shoot-shear's design ranges from ``default_rng(0)``, as ``(scenario, field)``."""
-    rng = np.random.default_rng(0)
-    return [
-        _convex_shear_scenario(rng.uniform(-0.3, 0.3, 4), rng.uniform(-0.15, 0.15, 2), rng.uniform(1.0, 2.0),
-                               rng.uniform(-math.pi, math.pi), math.exp(rng.uniform(math.log(5e-3), math.log(5e-2))))
-        for _ in range(n)
-    ]
-
-
-_PINNED_DRAWS = _shoot_shear_draws(20)
+_PINNED_DRAWS = shoot_shear.draws(0, 20)
 
 
 @pytest.mark.parametrize("k", range(len(_PINNED_DRAWS)))
@@ -677,17 +620,9 @@ def test_illinois_steps_pull_a_stuck_bracket_end():
 
 
 @settings(max_examples=25)
-@given(
-    grad=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
-    base=st.lists(st.floats(-0.15, 0.15), min_size=2, max_size=2),
-    r=st.floats(1.0, 2.0),
-    bearing=st.floats(-math.pi, math.pi),
-    hit=st.floats(5e-3, 5e-2),
-)
-def test_shooter_hits_from_outside_or_raises_a_solver_error(grad, base, r, bearing, hit):
-    field = LinearField(base, np.reshape(grad, (2, 2)))
-    r0 = r * np.array([math.cos(bearing), math.sin(bearing)])
-    sc = Scenario(r0=r0, program=ConstantVelocity.from_vector(base), v_m=2.0, hit_radius=hit, t_max=10.0)
+@given(draw=shoot_shear.strategy())
+def test_shooter_hits_from_outside_or_raises_a_solver_error(draw):
+    sc, field = draw
     with pytest.MonkeyPatch.context() as patch:
         fired = _log_shots(patch)
         try:
@@ -696,8 +631,42 @@ def test_shooter_hits_from_outside_or_raises_a_solver_error(grad, base, r, beari
             return
     assert len(set(fired)) == len(fired)
     ranges = np.linalg.norm(curve.positions, axis=1)
-    assert ranges[-1] == pytest.approx(hit, rel=1e-9)
-    assert np.all(ranges[:-1] > hit)
+    assert ranges[-1] == pytest.approx(sc.hit_radius, rel=1e-9)
+    assert np.all(ranges[:-1] > sc.hit_radius)
+
+
+def _answer(sc, field):
+    """``(refusal, t_f, nodes, passed)``: a solve's class of refusal (it sets the exit code) or its course's t_f,
+    node count and verdict."""
+    try:
+        course, report = _certified(sc, field)
+    except ParnavError as exc:
+        return type(exc), None, None, None
+    return None, course.times[-1], course.n_nodes, report["passed"]
+
+
+@pytest.mark.parametrize("transform", ["rotate", "scale_lengths", "scale_speeds"])
+@settings(max_examples=60)
+@given(draw=convex_shear.strategy(), data=st.data())
+def test_answer_turns_and_scales_with_the_scenario(transform, draw, data):
+    # the metric is built from v_M, v_T and |y|: a rotation or reflection leaves t_f as it is, lengths times lam
+    # take it to lam t_f and speeds times mu to t_f / mu, on as many nodes and with the same verdict
+    sc, field = draw
+    lam = mu = 1.0
+    factors = st.floats(math.log(1e-3), math.log(1e6)).map(math.exp)
+    if transform == "rotate":
+        moved = rotate(sc, field, data.draw(orthogonals(2)))
+    elif transform == "scale_lengths":
+        lam = data.draw(factors)
+        moved = scale_lengths(sc, field, lam)
+    else:
+        mu = data.draw(factors)
+        moved = scale_speeds(sc, field, mu)
+    refusal, t_f, nodes, passed = _answer(sc, field)
+    moved_refusal, moved_t_f, moved_nodes, moved_passed = _answer(*moved)
+    assert (moved_refusal, moved_nodes, moved_passed) == (refusal, nodes, passed)
+    if refusal is None:
+        assert moved_t_f * mu / lam == pytest.approx(t_f, rel=1e-12)
 
 
 def test_optimal_trajectory_needs_field_for_maneuvers():
@@ -725,9 +694,9 @@ def test_step_over_the_budget_is_rejected_before_any_shot(example_scenario, monk
 
 
 def _planar_metric(v_m, delta, constant, field):
-    """A 2-d field in shoot-shear's ranges: base in [-0.15, 0.15]^2, gradient entries in [-0.3, 0.3]."""
-    base = 0.15 * np.array(field[:2])
-    f = ConstantField(base) if constant else LinearField(base, 0.3 * np.reshape(field[2:], (2, 2)))
+    """A 2-d field in shoot-shear's ranges, from six numbers in [-1, 1]."""
+    base = shoot_shear.base * np.array(field[:2])
+    f = ConstantField(base) if constant else LinearField(base, shoot_shear.gradient * np.reshape(field[2:], (2, 2)))
     return NavMetric(NavMetricParams(v_m, delta), f)
 
 
