@@ -3,7 +3,7 @@
 The package is organized by layer:
 
 - :mod:`parnav.metric`: the navigation metric, its domain, closed-form
-  gradients, fundamental tensor and strong-convexity margin;
+  gradients and fundamental tensor;
 - :mod:`parnav.geodesics`: the one planar geodesic flow (closed-form
   spray and RK4 step), the Berwald connection, geodesic integration,
   action integrals, Euler-Lagrange residuals;
@@ -34,13 +34,11 @@ from .metric import (
     NavMetric,
     NavMetricParams,
     as_field,
-    strong_convexity_margin,
 )
 from .geodesics import (
     CurveRecord,
     action_integral,
     berwald_coefficients,
-    covariant_derivative,
     curve_from_arrays,
     euler_lagrange_residual,
     integrate_geodesic,

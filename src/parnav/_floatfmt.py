@@ -13,7 +13,7 @@ As in Grisu3 (F. Loitsch, PLDI 2010), a value the kernel cannot certify
 goes through ``repr``, as do nan, +-inf and +-0.0, so the bytes never
 depend on the fast path covering every value.  The layout is CPython's:
 positional with a ``.0`` for decimal exponents -4 to 15, ``1e+16`` /
-``1e-05`` style otherwise.  Values go through in blocks of ``_BLOCK``.
+``1e-05`` style otherwise.
 """
 
 from __future__ import annotations
@@ -177,8 +177,11 @@ def _shift(words, n_bytes):
     return [words[0] << bits] + [(words[k] << bits) | (words[k - 1] >> (_U(64) - bits)) for k in (1, 2)]
 
 
-def _format_block(v, chars, lengths):
-    """:func:`format_floats` on one block, into ``chars`` and ``lengths``."""
+def format_floats(values) -> tuple[np.ndarray, np.ndarray]:
+    """``(chars, lengths)``: row ``i`` of the ``(n, 32)`` uint8 matrix ``chars`` holds the
+    ``lengths[i]`` (at most 24) bytes of ``repr(float(values[i]))``, then zeros."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    chars = np.empty((v.size, 32), dtype=np.uint8)
     bits = v.view(np.uint64)
     mag = bits & _U((1 << 63) - 1)
     special = (mag == _U(0)) | (mag >= _U(0x7FF << 52))  # +-0.0, +-inf, nan
@@ -210,7 +213,7 @@ def _format_block(v, chars, lengths):
     # positional 0.00DIGITS is "0" * zeros + DIGITS with the point after dot digits
     zeros = np.maximum(1 - point, 0)
     dot = np.maximum(point, 1)
-    lengths[:] = neg + dot + 1 + np.maximum(nd + zeros - dot, 1)
+    lengths = neg + dot + 1 + np.maximum(nd + zeros - dot, 1)
     sci = np.flatnonzero((point < -3) | (point > 16))
     if sci.size:  # scientific is DIGITS with the point after one digit, then the exponent
         zeros[sci] = 0
@@ -246,17 +249,4 @@ def _format_block(v, chars, lengths):
     for i, text in texts.items():
         chars[i] = 0
         chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-
-
-_BLOCK = 8192  # values per block: numpy's temporaries stay small enough to reuse freed memory
-
-
-def format_floats(values) -> tuple[np.ndarray, np.ndarray]:
-    """``(chars, lengths)``: row ``i`` of the ``(n, 32)`` uint8 matrix ``chars`` holds the
-    ``lengths[i]`` (at most 24) bytes of ``repr(float(values[i]))``, then zeros."""
-    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    chars = np.empty((v.size, 32), dtype=np.uint8)
-    lengths = np.empty(v.size, dtype=np.intp)
-    for a in range(0, v.size, _BLOCK):
-        _format_block(v[a:a + _BLOCK], chars[a:a + _BLOCK], lengths[a:a + _BLOCK])
     return chars, lengths

@@ -26,7 +26,6 @@ __all__ = [
     "curve_from_arrays",
     "spray_coefficients",
     "berwald_coefficients",
-    "covariant_derivative",
     "integrate_geodesic",
     "action_integral",
     "euler_lagrange_residual",
@@ -236,22 +235,14 @@ def berwald_coefficients(metric, x, y) -> np.ndarray:
     return B
 
 
-def covariant_derivative(metric, curve: CurveRecord, Y, variant: str = "quadratic") -> np.ndarray:
-    """Covariant rate of a vector field ``Y(t)`` along a curve.
+def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) -> np.ndarray:
+    """Covariant rate of a vector field ``Y(t)`` along a curve, node ``i``'s connection taken from ``metrics[i]``.
 
     variant="quadratic" returns ``dY/dt + G^i_jk(x, v) Y^j Y^k`` and
     variant="affine" returns ``dY/dt + G^i_jk(x, v) v^j Y^k``, where the
     connection is evaluated along the curve's own velocity ``v``.  Both
     are returned on the curve's time grid.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != curve.positions.shape:
-        raise InvalidInputError("Y must be sampled on the curve's grid")
-    return _covariant_rate([metric] * curve.n_nodes, curve, Y, variant)
-
-
-def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) -> np.ndarray:
-    """:func:`covariant_derivative` with node ``i``'s connection taken from ``metrics[i]``."""
     if variant not in ("quadratic", "affine"):
         raise InvalidInputError(f"unknown variant {variant!r}")
     dY = _time_derivative(Y, curve.times)
@@ -275,7 +266,7 @@ def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> Cu
     if not (0.0 < horizon < math.inf and 0.0 < step < math.inf):
         raise InvalidInputError("horizon and step must be positive and finite")
     n_steps = int(round(horizon / step))
-    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * max(1.0, horizon):
+    if n_steps < 1 or abs(n_steps * step - horizon) > 1e-9 * horizon:
         raise InvalidInputError("horizon must be an integer multiple of step")
 
     flow = _PlanarFlow(metric)

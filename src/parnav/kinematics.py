@@ -238,12 +238,6 @@ class Scenario:
     def dim(self) -> int:
         return self.r0.size
 
-    @property
-    def speed_ratio(self) -> float | None:
-        """``v_M / v_T`` using the program's initial speed; None for a stationary target."""
-        s = self.program.initial_speed
-        return self.v_m / s if s > 0.0 else None
-
     def with_(self, **kw) -> "Scenario":
         return dc_replace(self, **kw)
 
@@ -338,9 +332,6 @@ def pn_lead_angle(theta: float, ratio: float) -> float:
 # Simulation core
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 20  # most nodes laid out at once; a longer leg continues in further chunks
-
-
 class _Leg(NamedTuple):
     """A constant-velocity target leg from its first node on.
 
@@ -431,6 +422,8 @@ def _planar_run(segs, v_m, dt, eps, t_max):
     t, mx, my = 0.0, 0.0, 0.0
     idx, leg = 0, None
     stretches = []  # (leg, times, ranges)
+    # Each pass ends its leg (stepping short onto the next one's start), steps short onto t_max or ends the run,
+    # on horizon/dt + 2 nodes at most: t_max/dt bounds them, capped at _MAX_STEPS by the CLI, not by simulate.
     while True:
         while t >= switch[idx]:
             idx, leg = idx + 1, None
@@ -443,18 +436,13 @@ def _planar_run(segs, v_m, dt, eps, t_max):
         horizon = min(s_next, t_max) - t
         if leg.closing > 0.0:
             horizon = min(horizon, (leg.range_at(t) - eps) / leg.closing)
-        n = int(min(max(horizon / dt, 0.0), _CHUNK)) + 2
+        n = int(max(horizon / dt, 0.0)) + 2
         times = np.add.accumulate(np.concatenate(([t], np.full(n, dt))))
         rho = leg.range_at(times)
         span = np.minimum(np.minimum(dt, s_next - times), t_max - times)
         tau = (rho - eps) / leg.closing if leg.closing > 0.0 else np.full_like(rho, math.inf)
         event = (times >= switch[idx]) | (rho <= eps) | (times >= t_edge) | (tau <= span) | (span < dt)
-        hits = np.flatnonzero(event)
-        if hits.size == 0:  # the leg runs on past this chunk
-            stretches.append((leg, times[:-1], rho[:-1]))
-            t = float(times[-1])
-            continue
-        j = int(hits[0])
+        j = int(np.flatnonzero(event)[0])
         if times[j] >= switch[idx]:
             stretches.append((leg, times[:j], rho[:j]))
             t = float(times[j])
@@ -487,18 +475,25 @@ def _engagement_plane(r0: np.ndarray, v: np.ndarray):
 
     ``basis`` is an orthonormal (2, 3) basis of the plane spanned by ``r0`` and
     ``v``, led by ``r0 / |r0|``; plane arrays lift back to 3-d as ``arr @ basis``.
+    Raises :class:`InvalidInputError` when ``|r0|`` overflows or underflows,
+    so that the basis or the in-plane start ``(|r0|, 0)`` is lost.
     """
-    e1 = r0 / np.linalg.norm(r0)
-    h = v - (v @ e1) * e1
-    nh = np.linalg.norm(h)
-    if nh > 1e-12 * max(1.0, float(np.linalg.norm(v))):
-        e2 = h / nh
-    else:  # collinear geometry: any unit vector orthogonal to e1 will do
-        probe = np.eye(3)[int(np.argmin(np.abs(e1)))]
-        e2 = probe - (probe @ e1) * e1
-        e2 /= np.linalg.norm(e2)
-    basis = np.stack([e1, e2])
-    return basis, basis @ r0, basis @ v
+    with np.errstate(all="ignore"):  # such magnitudes are refused below
+        e1 = r0 / np.linalg.norm(r0)
+        h = v - (v @ e1) * e1
+        nh = np.linalg.norm(h)
+        if nh > 1e-12 * max(1.0, float(np.linalg.norm(v))):
+            e2 = h / nh
+        else:  # collinear geometry: any unit vector orthogonal to e1 will do
+            probe = np.eye(3)[int(np.argmin(np.abs(e1)))]
+            e2 = probe - (probe @ e1) * e1
+            e2 /= np.linalg.norm(e2)
+        basis = np.stack([e1, e2])
+        start = basis @ r0
+    if not (np.all(np.isfinite(basis)) and 0.0 < start[0] < math.inf):
+        raise InvalidInputError(f"|r0| of {r0.tolist()} overflows or underflows in the engagement plane: "
+                                "rescale lengths or speeds")
+    return basis, start, basis @ v
 
 
 def simulate(scenario: Scenario) -> SimResult:

@@ -32,7 +32,6 @@ __all__ = [
     "NavMetricParams",
     "MetricValue",
     "NavMetric",
-    "strong_convexity_margin",
 ]
 
 
@@ -249,14 +248,3 @@ class NavMetric:
         """Rescale ``direction`` to unit metric length (F = 1)."""
         direction = np.asarray(direction, dtype=float)
         return direction / self.F(x, direction)
-
-
-def strong_convexity_margin(params: NavMetricParams, v_t) -> float:
-    """Positive iff the fundamental tensor is positive definite at this point.
-
-    The navigation metric's Matsumoto form has ``|b| = |v_T|/(v_M cos delta)``,
-    and the Matsumoto metric is strongly convex on its whole domain exactly
-    when ``|b| < 1/2``; the margin returned is ``1/2 - |b|``.
-    """
-    v_t = np.asarray(v_t, dtype=float)
-    return 0.5 - float(np.linalg.norm(v_t)) / (params.v_m * params.cos_delta)

@@ -60,10 +60,12 @@ __all__ = [
 
 # shooting: horizon in chord lengths; launch-angle increment of the fan that
 # replaces a shot which left the metric domain; cap on the shots per course;
+# cap on a shot's end-point iterations (139 at most measured on the hard draws);
 # the probe shots' step is t_hat / _PROBE_DIVISOR
 _HORIZON_FACTOR = 3.0
 _FAN_STEP = 0.05
 _MAX_SHOTS = 80
+_MAX_END_STEPS = 200
 _PROBE_DIVISOR = 64.0
 
 
@@ -191,8 +193,9 @@ def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_m
     stops at the first done node; Illinois regula falsi on ``m`` over that step (the secant point, or the
     midpoint where the secant leaves the bracket; Dowell & Jarratt, BIT 11, 1971), to a bracket of
     ``1e-12 step``, puts the last node on the done end of the bracket: the contact for a hit, the closest
-    approach for a miss.  None if a stage leaves the domain, ``n_max`` steps do not get done, or the end point
-    is off unit F by more than 1e-3 (RK4 lost the geodesic, so its miss is noise).
+    approach for a miss.  None if a stage leaves the domain, ``n_max`` steps do not get done, the bracket is
+    still open after ``_MAX_END_STEPS`` iterations, or the end point is off unit F by more than 1e-3 (RK4 lost
+    the geodesic, so its miss is noise).
     """
 
     def margin(z) -> float:
@@ -212,8 +215,11 @@ def _shoot(metric: NavMetric, flow, x0: np.ndarray, phi: float, step: float, n_m
         else:
             return None
         # z is the done state at hi; the end left in place twice in a row (kept: 1 lo, -1 hi) has its margin halved
-        lo, hi, m_lo, m_hi, kept = 0.0, step, margin(states[-1]), margin(z), 0
+        lo, hi, m_lo, m_hi, kept, n_end = 0.0, step, margin(states[-1]), margin(z), 0, 0
         while hi - lo > 1e-12 * step:
+            if n_end == _MAX_END_STEPS:
+                return None
+            n_end += 1
             t = hi - m_hi * (hi - lo) / (m_hi - m_lo)
             if not lo < t < hi:
                 t = 0.5 * (lo + hi)
@@ -476,13 +482,13 @@ def pursuer_ode_residual(
     Checks ``d2 r_M / dt2 + 2 G(x, dx/dt) = D v_T / Dt`` on a shared
     time grid, with the spray of the per-node lead-angle metric on the
     left and the covariant rate of the target velocity (variant as in
-    :func:`parnav.geodesics.covariant_derivative`) on the right.  For a
+    :func:`parnav.geodesics._covariant_rate`) on the right.  For a
     spatially constant target velocity both sides vanish along exact
     parallel-navigation runs.
     """
-    for other in (target_curve, course_curve):
+    for other in (target_curve, course_curve):  # one grid: node times agree to 1e-12 of the largest
         if other.times.shape != pursuer_curve.times.shape or not np.allclose(
-            other.times, pursuer_curve.times, rtol=0.0, atol=1e-12 * max(1.0, float(pursuer_curve.times[-1]))
+            other.times, pursuer_curve.times, rtol=0.0, atol=1e-12 * float(np.max(np.abs(pursuer_curve.times)))
         ):
             raise InvalidInputError("curves must share one time grid")
     N = pursuer_curve.n_nodes

@@ -1,6 +1,7 @@
-"""Shared fixtures: the r0=1000 reference engagement and the shear-field metric."""
+"""Shared fixtures: the r0=1000 reference engagement and the shear-field metric, and a per-test time limit."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -21,6 +22,33 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repo")
+
+TEST_SECONDS = 60.0  # per-test time limit, far above the slowest test (about 3 s)
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past ``TEST_SECONDS``; not an ``Exception``, so that neither the code
+    under test nor hypothesis (which would replay and shrink the hanging example) catches it."""
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past ``TEST_SECONDS`` with its traceback, instead of hanging the suite."""
+    if not hasattr(signal, "setitimer"):  # no interval timer on this platform: no limit
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its {TEST_SECONDS:g} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Reference engagement: r0 = 1000, v_T = 100, K = 2, theta0 = 60 deg.
 # sin(delta0) = sin(theta0)/K = sqrt(3)/4, so cos(delta0) = sqrt(13)/4 and the

@@ -52,7 +52,7 @@ def test_parse_scenario_roundtrip(tmp_path):
     doc = scenario_doc()
     scenario, metric_cfg, canonical = cli.parse_scenario_text(json.dumps(doc))
     assert scenario.v_m == pytest.approx(200.0)
-    assert scenario.speed_ratio == pytest.approx(2.0)
+    assert scenario.v_m / scenario.program.initial_speed == pytest.approx(2.0)
     assert metric_cfg["field"] is None
     # canonical form is key-sorted and whitespace-free: insertion order is gone
     assert canonical == json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -336,11 +336,9 @@ def test_write_csv_writes_every_row_of_whole_and_partial_blocks(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == csv_text(header, table.tolist()).encode()
 
 
-def test_simulate_at_2e5_nodes_holds_under_400_bytes_a_node(tmp_path):
-    """A timeout run that lays out 2e5 nodes holds one node table and the text of one block of rows."""
-    doc = scenario_doc()
-    doc["scenario"].update(target={"type": "constant", "speed": 100.0, "heading_deg": 0.0},
-                           ratio=0.5, dt=1e-4, t_max=20.0)  # the target outruns the pursuer
+def _timeout_run_peak_bytes_a_node(tmp_path, doc) -> float:
+    """Traced peak of a ``simulate`` timeout run over its node count, which must reach 2e5."""
+    doc["scenario"].update(ratio=0.5, dt=1e-4, t_max=20.0)  # the target outruns the pursuer
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "run.csv"
     tracemalloc.start()
@@ -353,7 +351,21 @@ def test_simulate_at_2e5_nodes_holds_under_400_bytes_a_node(tmp_path):
     out.unlink()
     assert code == 0 and summary["termination"] == "timeout"
     assert summary["n_nodes"] >= 200_000
-    assert peak / summary["n_nodes"] < 400
+    return peak / summary["n_nodes"]
+
+
+def test_simulate_at_2e5_nodes_holds_under_400_bytes_a_node(tmp_path):
+    """A timeout run that lays out 2e5 nodes holds one node table and the text of one block of rows."""
+    doc = scenario_doc()
+    doc["scenario"]["target"] = {"type": "constant", "speed": 100.0, "heading_deg": 0.0}
+    assert _timeout_run_peak_bytes_a_node(tmp_path, doc) < 400
+
+
+def test_3d_simulate_at_2e5_nodes_holds_under_400_bytes_a_node(tmp_path):
+    """A 3-d run also holds the planar table it lifts: 15 and 20 floats a node, 280 bytes."""
+    doc = scenario_doc()
+    doc["scenario"].update(r0=[0.0, 600.0, 800.0], target={"type": "constant", "velocity": [0.0, 60.0, 80.0]})
+    assert _timeout_run_peak_bytes_a_node(tmp_path, doc) < 400
 
 
 # --- optimal / pmp-check ---------------------------------------------------------
@@ -431,6 +443,19 @@ def test_time_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys, case, m
     assert code == 2
     assert "error: the course's time scales overflow or underflow" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r0", [[0.0, 1e200, 1e200], [0.0, 1e-200, 1e-200]], ids=["overflows", "underflows"])
+def test_3d_range_that_overflows_or_underflows_in_the_plane_exits_2(tmp_path, capsys, r0):
+    """|r0| passes math.hypot, but the sum of squares that the engagement plane normalises by does not."""
+    doc = {"schema_version": 1, "scenario": {"r0": r0, "target": {"type": "constant", "velocity": [1.0, 0.0, 0.0]},
+                                             "pursuer_speed": 2.0, "hit_radius": 1e-300}}
+    code = cli.main(["simulate", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "run.csv"), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("rescale lengths or speeds\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 def test_pmp_check_report(tmp_path):

@@ -70,7 +70,7 @@ def test_uncertified_values_take_repr(monkeypatch):
 
 
 def test_blocks_and_the_empty_array():
-    values = np.random.default_rng(5).uniform(-1e4, 1e4, 2 * _floatfmt._BLOCK + 3)
+    values = np.random.default_rng(5).uniform(-1e4, 1e4, 16_387)
     _assert_repr(values)
     chars, lengths = _floatfmt.format_floats(np.array([]))
     assert chars.shape == (0, 32) and lengths.shape == (0,)
@@ -79,7 +79,7 @@ def test_blocks_and_the_empty_array():
 @pytest.mark.parametrize("draw", ["uniform-5000", "unit", "thousandths", "times"])
 def test_blocks_without_scientific_values_format_as_repr(draw):
     """Whole blocks of positional values, as simulation tables hold them, take the kernel's positional path."""
-    rng, n = np.random.default_rng(11), 2 * _floatfmt._BLOCK
+    rng, n = np.random.default_rng(11), 16_384
     values = {"uniform-5000": lambda: rng.uniform(-5000.0, 5000.0, n),
               "unit": lambda: rng.uniform(0.0, 1.0, n),
               "thousandths": lambda: rng.uniform(1e-3, 1e-2, n),

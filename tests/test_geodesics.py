@@ -18,16 +18,14 @@ from parnav import (
     PartialCurveError,
     action_integral,
     berwald_coefficients,
-    covariant_derivative,
     curve_from_arrays,
     euler_lagrange_residual,
     integrate_geodesic,
     numdiff,
     optimal,
     spray_coefficients,
-    strong_convexity_margin,
 )
-from parnav.geodesics import _PlanarFlow
+from parnav.geodesics import _PlanarFlow, _covariant_rate
 from tests.reference import rk4_step, spray_many
 
 
@@ -188,7 +186,7 @@ def test_spray_many_rows_match_single_row_and_finite_differences(v_m, delta, fie
     # keep strongly convex rows: the oracle inverts the fundamental tensor
     keep = [
         k for k in range(len(rows))
-        if np.linalg.norm(Y[k]) > 1e-2 and strong_convexity_margin(m.params, f(X[k])) > 0.05
+        if np.linalg.norm(Y[k]) > 1e-2 and np.linalg.norm(f(X[k])) < 0.45 * v_m * math.cos(delta)
     ]
     if not keep:
         return
@@ -250,10 +248,10 @@ def test_covariant_derivative_flat_reduces_to_plain_derivative(example_metric):
     Y = np.stack([np.sin(t), np.cos(2.0 * t)], axis=1)
     expected = np.gradient(Y, t, axis=0, edge_order=2)
     for variant in ("quadratic", "affine"):
-        got = covariant_derivative(example_metric, curve, Y, variant=variant)
+        got = _covariant_rate([example_metric] * curve.n_nodes, curve, Y, variant)
         np.testing.assert_allclose(got, expected, atol=1e-9)
     with pytest.raises(InvalidInputError):
-        covariant_derivative(example_metric, curve, Y, variant="other")
+        _covariant_rate([example_metric] * curve.n_nodes, curve, Y, "other")
 
 
 def test_integrate_geodesic_conserves_f(shear_metric, shear_start):
@@ -265,10 +263,10 @@ def test_integrate_geodesic_conserves_f(shear_metric, shear_start):
 
 @pytest.mark.parametrize(
     "horizon, step",
-    [(1.0, 0.3), (math.nan, 1e-2), (1.0, math.nan), (math.inf, 1e-2), (1.0, math.inf)],
+    [(1.0, 0.3), (1e-9, 0.3e-9), (math.nan, 1e-2), (1.0, math.nan), (math.inf, 1e-2), (1.0, math.inf)],
 )
 def test_integrate_geodesic_rejects_bad_horizon_or_step(shear_metric, shear_start, horizon, step):
-    # 0.3 does not divide 1.0; NaN and infinite values are not positive finite numbers
+    # 0.3 does not divide 1.0 at any scale; NaN and infinite values are not positive finite numbers
     x0, y0 = shear_start
     with pytest.raises(InvalidInputError):
         integrate_geodesic(shear_metric, x0, y0, horizon=horizon, step=step)

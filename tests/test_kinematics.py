@@ -120,9 +120,9 @@ def test_scenario_validation():
     with pytest.raises(InvalidInputError):
         Scenario.nonmaneuvering(100.0, 1.0, 0.0, ratio=2.0, pursuer_speed=2.0)
     sc = Scenario.nonmaneuvering(100.0, 10.0, 0.3, ratio=2.0)
-    assert sc.speed_ratio == pytest.approx(2.0)
+    assert sc.v_m / sc.program.initial_speed == pytest.approx(2.0)
     assert sc.with_(t_max=5.0).t_max == 5.0
-    assert Scenario.stationary(100.0, 3.0).speed_ratio is None
+    assert Scenario.stationary(100.0, 3.0).program.initial_speed == 0.0
 
 
 @pytest.mark.parametrize("key", ["dt", "t_max", "hit_radius"])
@@ -369,20 +369,6 @@ def test_closing_legs_hold_F_at_exactly_one(example_scenario):
         res = simulate(sc)
         assert res.termination == "intercept"
         assert np.all(res.F == 1.0)
-
-
-def test_long_leg_continues_across_chunks(monkeypatch):
-    """Laying a leg out a few nodes at a time changes no bit of the run."""
-    legs = [(0.0123, 100.0, 0.5), (0.05, 80.0, -0.8), (10.0, 60.0, 2.0)]
-    for sc in (Scenario(r0=np.array([80.0, 0.0]), program=PiecewiseConstant(legs), v_m=220.0),
-               Scenario.nonmaneuvering(1000.0, 100.0, 0.0, ratio=0.8, t_max=0.1)):
-        whole = simulate(sc)
-        monkeypatch.setattr(kinematics, "_CHUNK", 7)
-        chunked = simulate(sc)
-        monkeypatch.undo()
-        assert chunked.termination == whole.termination
-        for name in ("times", "r", "r_m", "r_t", "v_m", "lam", "F"):
-            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 @settings(max_examples=20)

@@ -16,7 +16,6 @@ from parnav import (
     OutOfDomainError,
     as_field,
     numdiff,
-    strong_convexity_margin,
 )
 
 ORIGIN = np.zeros(2)
@@ -165,17 +164,9 @@ def test_matsumoto_form_reproduces_navigation_metric(y1, y2):
         assert alpha**2 / (c * (alpha - beta)) == pytest.approx(val.value, rel=1e-12)
 
 
-def test_strong_convexity_margin():
-    # |v_t| / (v_m cos d) = sqrt(0.1)/(2 cos 0.1)
-    margin = strong_convexity_margin(NavMetricParams(2.0, 0.1), np.array([0.3, 0.1]))
-    expected = 0.5 - math.sqrt(0.1) / (2.0 * math.cos(0.1))
-    assert margin == pytest.approx(expected, rel=1e-12)
-    assert strong_convexity_margin(NavMetricParams(1.0, 0.0), np.array([0.9, 0.0])) < 0.0
-
-
 def test_tensor_positive_definite_inside_margin():
     m = _metric(v_m=2.0, delta=0.1, v_t=(0.3, 0.1))
-    assert strong_convexity_margin(m.params, np.array([0.3, 0.1])) > 0.0
+    assert math.hypot(0.3, 0.1) < 0.5 * 2.0 * math.cos(0.1)  # |v_T| < v_M cos(delta) / 2: strongly convex
     rng = np.random.default_rng(11)
     for _ in range(50):
         y = rng.normal(size=2) * 3.0
@@ -204,7 +195,7 @@ def test_gradients_many_rows_match_single_row_and_finite_differences(dim, v_m, d
     # strongly convex rows stay well inside the domain, where differences are accurate
     keep = [
         k for k in range(len(rows))
-        if np.linalg.norm(Y[k]) > 1e-2 and strong_convexity_margin(m.params, f(X[k])) > 0.05
+        if np.linalg.norm(Y[k]) > 1e-2 and np.linalg.norm(f(X[k])) < 0.45 * v_m * math.cos(delta)
     ]
     if not keep:
         return

@@ -604,6 +604,14 @@ def test_shot_end_point_takes_few_re_steps(shear_metric, monkeypatch):
     assert np.mean(re_steps) <= 16 and max(re_steps) <= 40
 
 
+def test_shot_whose_end_point_bracket_stays_open_past_the_cap_is_dropped(shear_metric, shear_start, monkeypatch):
+    x0, (y1, y2) = shear_start[0], shear_start[1]
+    flow, args = _PlanarFlow(shear_metric), (x0, math.atan2(y2, y1), 0.01, 1000, 0.01)
+    assert optimal._shoot(shear_metric, flow, *args) is not None  # a miss, its closest approach found
+    monkeypatch.setattr(optimal, "_MAX_END_STEPS", 2)
+    assert optimal._shoot(shear_metric, flow, *args) is None
+
+
 def test_illinois_steps_pull_a_stuck_bracket_end():
     # on a convex miss plain regula falsi keeps one end and creeps; the Illinois rule moves it
     def miss(phi):
@@ -924,6 +932,16 @@ def test_pursuer_ode_residual_grid_mismatch(example_scenario, example_metric):
     target = curve_from_arrays(example_metric, target_t, res.r_t[10:50], res.v_t[10:50])
     with pytest.raises(InvalidInputError):
         pursuer_ode_residual(example_metric, pursuer, target, course)
+
+
+def test_pursuer_ode_residual_grid_mismatch_at_a_picosecond_scale(example_scenario, example_metric):
+    """Grids half a step apart do not share a grid, whatever the unit of time."""
+    pursuer, target, course, _ = _pursuit_curves(example_scenario, example_metric)
+    pursuer, course = (dataclasses.replace(c, times=1e-12 * c.times) for c in (pursuer, course))
+    shifted = dataclasses.replace(target, times=1e-12 * (target.times + 0.5 * target.times[1]))
+    assert pursuer_ode_residual(example_metric, pursuer, dataclasses.replace(shifted, times=pursuer.times), course).size
+    with pytest.raises(InvalidInputError, match="one time grid"):
+        pursuer_ode_residual(example_metric, pursuer, shifted, course)
 
 
 @pytest.mark.parametrize("keep", [slice(0, 1), slice(0, -1)], ids=["length-1", "length-N-1"])
