@@ -1,19 +1,22 @@
 """``repr(float(v))`` for a whole float64 array at once.
 
 ``format_floats(values)`` returns the bytes of ``repr`` for every value,
-as a ``uint8`` matrix and per-row lengths.  The digits are the shortest
-decimal that reads back as the value, found by Schubfach (R. Giulietti,
-"The Schubfach way to render doubles", 2020): the value is scaled by a
-128-bit power of ten, one 64 x 128-bit product on 32-bit limbs in
-``uint64`` arithmetic, and its two rounding-interval bounds follow by
-adding the half gaps.  Each scaled value is known to within 4 units of
-its 64th fraction bit; where that leaves it within reach of an integer,
-whether the exact value is one is decided from its 2- and 5-adic orders.
-As in Grisu3 (F. Loitsch, PLDI 2010), a value the kernel cannot certify
-goes through ``repr``, as do nan, +-inf and +-0.0, so the bytes never
-depend on the fast path covering every value.  The layout is CPython's:
-positional with a ``.0`` for decimal exponents -4 to 15, ``1e+16`` /
-``1e-05`` style otherwise.
+as a ``uint8`` matrix and per-row lengths.  The kernel certifies the
+values tables are made of, positive and negative normal doubles that
+are not powers of two and that ``repr`` writes positionally (decimal
+exponents -4 to 15, with a ``.0`` where the digits end at the point).
+Their digits are the shortest decimal that reads back as the value,
+found by Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+2020): the value is scaled by a 128-bit power of ten, one 64 x 128-bit
+product on 32-bit limbs in ``uint64`` arithmetic, and its two
+rounding-interval bounds follow by adding the half gap.  Each scaled
+value is known to within 4 units of its 64th fraction bit; where that
+leaves it within reach of an integer, the kernel does not decide it.
+As in Grisu3 (F. Loitsch, PLDI 2010), every value the kernel does not
+certify goes through ``repr``: +-0.0, subnormals, +-inf, nan, powers of
+two, values within reach of an integer and values ``repr`` writes in
+scientific notation.  So the bytes never depend on the fast path
+covering every value.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import numpy as np
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
 _FRACTION = _U((1 << 52) - 1)
-# powers of ten over the doubles' range: 10^K for K = -k, k = floor(log10(2^q)), q in [-1074, 971]
+# powers of ten over the doubles' range: 10^K for K = -k, k = floor(log10(2^q)), q in [-1075, 971]
 _K_LO, _K_HI = -292, 324
-_POW5 = np.array([5**i for i in range(28)], dtype=np.uint64)  # 5^27 < 2^63
 _POW10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 
 
@@ -49,20 +51,17 @@ def _powers() -> np.ndarray:
 
 @functools.cache
 def _binades() -> list[np.ndarray]:
-    """What :func:`_shortest` needs of each binade, indexed by ``E + 2047 closer`` (``E`` the biased
-    exponent): ``k``, ``h``, ``g1``, ``g0``, then the integer part and fraction word of the half gaps
-    ``2^(h+1) g / 2^128`` (``2^h`` below when ``closer``) to the lower and the upper bound."""
+    """What :func:`_shortest` needs of each binade, indexed by the biased exponent ``E``: ``k = floor(log10(2^q))``
+    for ``q = E - 1075``, ``h``, ``g1``, ``g0``, then the integer part and fraction word of the half gap
+    ``2^(h+1) g / 2^128``."""
     g1, g0, e10 = _powers()
-    E, closer = np.tile(np.arange(2047), 2), np.repeat([False, True], 2047)
-    q = np.maximum(E, 1) - 1075
-    k = _floor_log10_pow2(q, closer)
+    q = np.arange(2047) - 1075
+    k = (q * 1262611) >> 22  # 1262611 / 2^22 is log10(2) to within 1e-7 relative, enough for |q| <= 1075
     i = -k - _K_LO
     g1, g0 = g1[i], g0[i]
     h = (q + e10[i].view(np.int64) + 1).astype(np.uint64)  # 1..4, so 4c << h < 2^60
-    columns = [k, h, g1, g0]
-    for s in (h + _U(1) - closer, h + _U(1)):
-        columns += [g1 >> (_U(64) - s), (g1 << s) | (g0 >> (_U(64) - s))]
-    return columns
+    s = h + _U(1)
+    return [k, h, g1, g0, g1 >> (_U(64) - s), (g1 << s) | (g0 >> (_U(64) - s))]
 
 
 def _scale(x, g1, g0):
@@ -82,60 +81,34 @@ def _scale(x, g1, g0):
     return high + (fraction < low), fraction
 
 
-def _is_integer(cb, q, k):
-    """Whether ``cb 2^q 10^-k`` is an integer: ``2^(k - q)`` and, for ``k > 0``, ``5^k`` divide ``cb``."""
-    s2 = k - q
-    low = (_U(1) << np.minimum(np.maximum(s2, 0), 63).astype(np.uint64)) - _U(1)
-    twos = (s2 <= 0) | ((s2 < 64) & ((cb & low) == _U(0)))
-    fives = (k <= 0) | (cb % _POW5.take(np.minimum(np.maximum(k, 0), 27)) == _U(0))
-    return twos & fives
-
-
-def _round_to_odd(whole, fraction, cb, q, k, uncertain):
-    """``floor(P) | 1`` for a non-integer ``P = cb 2^q 10^-k`` known as ``whole + fraction / 2^64`` to
-    within 4 units of the last fraction bit, and ``P`` where it is an integer.  Within 16 units of an
-    integer, :func:`_is_integer` decides, and ``uncertain`` is set where it says no."""
-    out = whole | _U(1)
-    near = np.flatnonzero(fraction + _U(16) < _U(32))
-    if near.size:
-        exact = _is_integer(cb[near], q[near], k[near])
-        out[near[exact]] = whole[near[exact]] + (fraction[near[exact]] >> _U(63))
-        uncertain[near[~exact]] = True
-    return out
-
-
-def _floor_log10_pow2(q, closer):
-    """``floor(log10(2^q))``, or ``floor(log10(3/4 2^q))`` where ``closer``, for ``|q| <= 1074``."""
-    return (q * 1262611 - closer * 524031) >> 22
+def _round_to_odd(whole, fraction, uncertain):
+    """``floor(P) | 1`` for ``P`` known as ``whole + fraction / 2^64`` to within 4 units of the last fraction bit.
+    Within 16 units of an integer, the floor, or whether ``P`` is one, is not known: ``uncertain`` is set there."""
+    uncertain |= fraction + _U(16) < _U(32)
+    return whole | _U(1)
 
 
 def _shortest(bits):
-    """Shortest round-trip decimal ``digits 10^exponent`` of positive finite nonzero doubles given as bits,
-    as ``(digits, exponent, uncertain)``; the digits of ``uncertain`` values are not certified.
+    """Shortest round-trip decimal ``digits 10^exponent`` of positive normal doubles that are not powers of two,
+    given as bits, as ``(digits, exponent, uncertain)``; the digits of ``uncertain`` values are not certified.
 
     Schubfach works on ``4 10^-k`` times the value and its rounding
-    bounds, rounded to odd, with ``10^k <= 2^q`` (``3/4 2^q`` when the
-    lower neighbour is closer) so that the scaled interval holds at most
-    one multiple of 10.  The scaled value ``B`` is one product with the
-    table's ``g``, which exceeds ``10^-k 2^(127 - e)`` by at most 1; the
-    bounds are ``B -+ D`` with ``D = 2^(h+1) g / 2^128`` (``2^h`` below
-    when the lower neighbour is closer).  Each is known to within 4 units
-    of its 64th fraction bit, and :func:`_round_to_odd` certifies it."""
-    E = (bits >> _U(52)).astype(np.intp)
-    closer = ((bits & _FRACTION) == _U(0)) & (E > 1)  # the lower neighbour is half as far
-    at = E + 2047 * closer
-    k, h, g1, g0, *gaps = (column.take(at) for column in _binades())
-    binade = np.maximum(E, 1)  # subnormals share the smallest normal binade
-    c = bits - ((binade - 1).astype(np.uint64) << _U(52))
-    q = binade - 1075
+    bounds, rounded to odd, with ``10^k <= 2^q`` so that the scaled
+    interval holds at most one multiple of 10.  The scaled value ``B`` is
+    one product with the table's ``g``, which exceeds
+    ``10^-k 2^(127 - e)`` by at most 1; the bounds are ``B -+ D`` with
+    ``D = 2^(h+1) g / 2^128``.  Each is known to within 4 units of its
+    64th fraction bit, and :func:`_round_to_odd` certifies it."""
+    k, h, g1, g0, gap1, gap0 = (column.take((bits >> _U(52)).astype(np.intp)) for column in _binades())
+    c = (bits & _FRACTION) | _U(1 << 52)
     cb = c << _U(2)
     y1, fraction = _scale(cb << h, g1, g0)
     uncertain = np.zeros(bits.shape, dtype=bool)
-    vb = _round_to_odd(y1, fraction, cb, q, k, uncertain)
-    frac = fraction - gaps[1]
-    lower = _round_to_odd(y1 - gaps[0] - (frac > fraction), frac, cb - _U(2) + closer, q, k, uncertain)
-    frac = fraction + gaps[3]
-    upper = _round_to_odd(y1 + gaps[2] + (frac < fraction), frac, cb + _U(2), q, k, uncertain)
+    vb = _round_to_odd(y1, fraction, uncertain)
+    frac = fraction - gap0
+    lower = _round_to_odd(y1 - gap1 - (frac > fraction), frac, uncertain)
+    frac = fraction + gap0
+    upper = _round_to_odd(y1 + gap1 + (frac < fraction), frac, uncertain)
     odd = c & _U(1)
     lower, upper = lower + odd, upper - odd  # an odd significand's bounds round away from it
 
@@ -184,9 +157,11 @@ def format_floats(values) -> tuple[np.ndarray, np.ndarray]:
     chars = np.empty((v.size, 32), dtype=np.uint8)
     bits = v.view(np.uint64)
     mag = bits & _U((1 << 63) - 1)
-    special = (mag == _U(0)) | (mag >= _U(0x7FF << 52))  # +-0.0, +-inf, nan
-    digits, exp10, uncertain = _shortest(np.where(special, _U(0x3FF << 52), mag))  # 1.0 stands in for them
-    fallback = special | uncertain
+    exponent = mag >> _U(52)
+    # +-0.0 and subnormals, +-inf and nan, and powers of two take repr; 1.5 stands in for them
+    fallback = (exponent == _U(0)) | (exponent == _U(0x7FF)) | ((mag & _FRACTION) == _U(0))
+    digits, exp10, uncertain = _shortest(np.where(fallback, _U(0x3FF8 << 48), mag))
+    fallback |= uncertain
 
     # the digits left-aligned in 17 places, nd of them significant; value = 0.DIGITS 10^point
     n_digits = np.add(digits >= _U(10**15), digits >= _U(10**16), dtype=np.intp)
@@ -209,19 +184,13 @@ def format_floats(values) -> tuple[np.ndarray, np.ndarray]:
             cut += k * more
         nd[at] -= cut
     point = exp10 + n_digits
+    fallback |= (point < -3) | (point > 16)  # repr writes these in scientific notation
+    point[fallback] = 1  # so that the rows the fallback overwrites are laid out in bounds
     neg = (bits >> _U(63)).astype(np.intp)
     # positional 0.00DIGITS is "0" * zeros + DIGITS with the point after dot digits
     zeros = np.maximum(1 - point, 0)
     dot = np.maximum(point, 1)
     lengths = neg + dot + 1 + np.maximum(nd + zeros - dot, 1)
-    sci = np.flatnonzero((point < -3) | (point > 16))
-    if sci.size:  # scientific is DIGITS with the point after one digit, then the exponent
-        zeros[sci] = 0
-        dot[sci] = 1
-        n_exp = 2 + (np.abs(point[sci] - 1) >= 100)
-        lengths[sci] = neg[sci] + np.where(nd[sci] > 1, nd[sci] + 1, 1) + 2 + n_exp
-    texts = {i: repr(float(v[i])).encode() for i in np.flatnonzero(fallback).tolist()}
-    lengths[list(texts)] = [len(text) for text in texts.values()]
 
     # the sign, then zeros and the digits; the text after the point moves one byte on to make room for it
     row = _shift([raw[0] + _ASCII_ZEROS, raw[1] + _ASCII_ZEROS, raw[2] + _U(ord("0"))], neg + zeros)
@@ -237,16 +206,8 @@ def format_floats(values) -> tuple[np.ndarray, np.ndarray]:
         words[:, k] = w & m.take(lengths)
     words[:, 3] = 0
 
-    if sci.size:  # scientific: "e" and the exponent's sign after the mantissa, its 2 or 3 digits at the end
-        certain = ~fallback[sci]
-        rows, n_exp = sci[certain], n_exp[certain]
-        end, x = lengths[rows], point[rows] - 1
-        chars[rows, end - 2 - n_exp] = ord("e")
-        chars[rows, end - 1 - n_exp] = np.where(x < 0, ord("-"), ord("+"))
-        for place in range(3):
-            at = place < n_exp
-            chars[rows[at], end[at] - 1 - place] = np.abs(x[at]) // 10**place % 10 + ord("0")
-    for i, text in texts.items():
-        chars[i] = 0
-        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    at = np.flatnonzero(fallback)
+    texts = np.fromiter(map(repr, v[at].tolist()), dtype="S24", count=at.size)
+    lengths[at] = np.char.str_len(texts)
+    chars[at, :24] = texts.view(np.uint8).reshape(-1, 24)
     return chars, lengths

@@ -425,7 +425,7 @@ def _planar_run(segs, v_m, dt, eps, t_max):
     # Each pass ends its leg (stepping short onto the next one's start), steps short onto t_max or ends the run,
     # on horizon/dt + 2 nodes at most: t_max/dt bounds them, capped at _MAX_STEPS by the CLI, not by simulate.
     while True:
-        while t >= switch[idx]:
+        while t >= switch[idx]:  # len(segs) - 1 times in a whole run at most: idx only grows, and the last switch is inf
             idx, leg = idx + 1, None
         if leg is None:
             leg, termination = _start_leg(segs[idx], t, mx, my, v_m, eps)

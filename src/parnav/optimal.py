@@ -298,6 +298,7 @@ def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: flo
             misses.append((phi, s.miss))
             phi = _next_launch_angle(misses, phi_aim, r0)
         if phi in fired or not abs(phi - phi_aim) < 0.5 * math.pi:
+            # the fan's angles are distinct and at most _MAX_SHOTS are fired, so this draws _MAX_SHOTS + 1 at most
             phi = next(p for p in fan if p not in fired)
     if not misses:
         raise ConvergenceError(f"all {_MAX_SHOTS} geodesic shots left the metric domain")

@@ -1,7 +1,8 @@
 """The scenarios the tests share, and the maps the navigation problem is invariant under.
 
-A shear family is one range table, drawn by ``family.draws(seed, n)`` from ``numpy.random.default_rng(seed)`` or by
-hypothesis from ``family.strategy()``.  A draw is a ``(Scenario, LinearField)``: see :meth:`ShearFamily._draw`.
+A family is one range table, drawn by ``family.draws(seed, n)`` from ``numpy.random.default_rng(seed)`` or by
+hypothesis from ``family.strategy()``.  A draw is a ``(Scenario, field)``: see :meth:`ShearFamily._draw` and
+:meth:`MagnitudeFamily._draw`; :func:`document` writes one as a scenario file.
 """
 
 import dataclasses
@@ -11,7 +12,8 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from parnav import ConstantField, ConstantVelocity, LinearField, PiecewiseConstant, Scenario, Waypoints
+from parnav import (ConstantField, ConstantVelocity, InvalidInputError, LinearField, PiecewiseConstant, Scenario,
+                    Waypoints)
 
 # intercepted engagements: a three-leg piecewise target, a waypoint target and a target in space
 PIECEWISE = Scenario(r0=np.array([800.0, 0.0]), program=PiecewiseConstant(
@@ -22,8 +24,26 @@ SPACE = Scenario(r0=np.array([800.0, 300.0, 500.0]), program=ConstantVelocity.fr
                  v_m=150.0)
 
 
+class _Family:
+    """Draws served from ``_draw(uniform)``, which makes one draw, or None where the family's filter drops it."""
+
+    def draws(self, seed: int, n: int) -> list:
+        rng = np.random.default_rng(seed)
+        return list(itertools.islice(filter(None, (self._draw(rng.uniform) for _ in itertools.count())), n))
+
+    def strategy(self) -> st.SearchStrategy:
+        @st.composite
+        def draws(draw):
+            def uniform(lo, hi, size=None):
+                return draw(st.floats(lo, hi) if size is None else st.tuples(*[st.floats(lo, hi)] * size))
+
+            return self._draw(uniform)
+
+        return draws().filter(bool)
+
+
 @dataclasses.dataclass(frozen=True)
-class ShearFamily:
+class ShearFamily(_Family):
     gradient: float
     base: float
     r0: tuple
@@ -44,20 +64,6 @@ class ShearFamily:
                             hit_radius=hit, t_max=10.0)
         keep = np.linalg.norm(base) + np.linalg.norm(gradient, 2) * r <= self.convex
         return (scenario, LinearField(base, gradient)) if keep else None
-
-    def draws(self, seed: int, n: int) -> list:
-        rng = np.random.default_rng(seed)
-        return list(itertools.islice(filter(None, (self._draw(rng.uniform) for _ in itertools.count())), n))
-
-    def strategy(self) -> st.SearchStrategy:
-        @st.composite
-        def draws(draw):
-            def uniform(lo, hi, size=None):
-                return draw(st.floats(lo, hi) if size is None else st.tuples(*[st.floats(lo, hi)] * size))
-
-            return self._draw(uniform)
-
-        return draws().filter(bool)
 
 
 # the shoot-shear benchmark's ranges
@@ -115,3 +121,40 @@ def scale_lengths(scenario, field, lam):
 def scale_speeds(scenario, field, mu):
     """Speeds and the field's gradient times ``mu``, times over ``mu``."""
     return _mapped(scenario, field, np.eye(scenario.dim), 1.0, mu)
+
+
+@dataclasses.dataclass(frozen=True)
+class MagnitudeFamily(_Family):
+    decades: float  # lengths and speeds are scaled by log-uniform factors in [10^-decades, 10^decades]
+    steps: int  # t_max / dt, which bounds a simulation's nodes
+
+    def _draw(self, uniform):
+        """A ``shoot_shear`` course or, with even odds, a planar engagement (that draw's start, hit radius and
+        ``t_max``, a target at speed 1 in a heading U(-pi, pi), ``v_M`` U(0.5, 3), no field), with ``dt = t_max /
+        steps``, lengths times ``lam`` and speeds times ``mu``; so times, ``dt`` and ``t_max`` are times ``lam / mu``.
+        Drawn in the order course, choice, heading and ``v_M``, ``lam``, ``mu``.  None where a time leaves the floats,
+        which ``Scenario`` refuses."""
+        scenario, field = shoot_shear._draw(uniform)
+        if uniform(0.0, 1.0) < 0.5:
+            scenario, field = scenario.with_(program=ConstantVelocity(1.0, uniform(-math.pi, math.pi)),
+                                             v_m=uniform(0.5, 3.0)), None
+        lam, mu = (10.0 ** uniform(-self.decades, self.decades) for _ in range(2))
+        try:
+            with np.errstate(over="ignore"):  # a gradient times mu / lam may overflow: the parser refuses it
+                return _mapped(scenario.with_(dt=scenario.t_max / self.steps), field, np.eye(2), lam, mu)
+        except InvalidInputError:
+            return None
+
+
+# magnitudes across the doubles' range, on courses of at most about 2,000 nodes
+extreme_magnitudes = MagnitudeFamily(decades=300.0, steps=2000)
+
+
+def document(scenario, field=None) -> dict:
+    """The scenario file of a constant-velocity ``scenario`` and a linear ``field`` (None: the target's velocity)."""
+    doc = {"schema_version": 1, "scenario": {
+        "r0": scenario.r0.tolist(), "target": {"type": "constant", "velocity": scenario.program.vector.tolist()},
+        "pursuer_speed": scenario.v_m, "dt": scenario.dt, "hit_radius": scenario.hit_radius, "t_max": scenario.t_max}}
+    if field is not None:
+        doc["metric"] = {"field": {"type": "linear", "base": field.base.tolist(), "gradient": field.gradient.tolist()}}
+    return doc

@@ -1,16 +1,20 @@
 """Command-line interface: schema validation, exit codes, deterministic output."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parnav import (
@@ -23,6 +27,7 @@ from parnav import (
     simulate,
 )
 from tests.conftest import CLOSING
+from tests.draws import document, extreme_magnitudes
 from tests.reference import csv_text, curve_rows, sim_rows
 
 
@@ -207,6 +212,33 @@ def test_unreadable_or_unwritable_file_exit_code(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+_REFERENCE_TEXT = json.dumps(scenario_doc()["scenario"])
+# case: (mode, scenario file text); each case runs in one of the four modes, which share the parser
+_UNREADABLE = {
+    "integer-beyond-the-floats": ("simulate", _REFERENCE_TEXT.replace("1000.0", "1" + "0" * 400)),
+    "integer-of-5000-digits": ("optimal", _REFERENCE_TEXT.replace("1000.0", "1" + "0" * 5000)),
+    "nested-100000-deep": ("pmp-check", "[" * 100_000 + "]" * 100_000),
+    "boolean-schema-version": ("sweep", None),
+}
+
+
+@pytest.mark.parametrize("case", _UNREADABLE)
+def test_unreadable_scenario_exits_2_with_one_error_line(tmp_path, case):
+    mode, scenario = _UNREADABLE[case]
+    path = tmp_path / "scenario.json"
+    if scenario is None:
+        path.write_text(f'{{"schema_version": true, "scenario": {_REFERENCE_TEXT}}}')
+    else:
+        path.write_text(f'{{"schema_version": 1, "scenario": {scenario}}}')
+    extra = ["--grid", "K=2;theta0_deg=0"] if mode == "sweep" else []
+    argv = [sys.executable, "-m", "parnav.cli", mode, str(path), "--out", str(tmp_path / "x.out"), *extra]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.parametrize(
@@ -456,6 +488,27 @@ def test_3d_range_that_overflows_or_underflows_in_the_plane_exits_2(tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith("rescale lengths or speeds\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@settings(max_examples=100)
+@given(draw=extreme_magnitudes.strategy())
+def test_extreme_magnitudes_exit_with_a_documented_code_and_write_repr(draw):
+    """Lengths and speeds from 1e-300 to 1e300: every mode ends in a documented exit code, and every table it
+    writes holds ``repr``'s bytes, which the float kernel leaves to ``repr`` itself for most of these values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "x.out"
+        scenario.write_text(json.dumps(document(*draw)))
+        for mode in ("simulate", "optimal", "pmp-check"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main([mode, str(scenario), "--out", str(out), "--quiet"])
+            assert code in (0, 2, 3, 4, 5), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if mode != "pmp-check" and out.exists():
+                text = out.read_text()
+                header, *lines = text.splitlines()
+                assert text == csv_text(header.split(","), [[float(v) for v in line.split(",")] for line in lines])
+            out.unlink(missing_ok=True)
 
 
 def test_pmp_check_report(tmp_path):

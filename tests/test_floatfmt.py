@@ -1,6 +1,7 @@
 """``parnav._floatfmt.format_floats`` against ``repr`` byte for byte."""
 
 import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,25 @@ def _assert_repr(values):
 
 def _from_bits(*patterns) -> list[float]:
     return [struct.unpack("<d", struct.pack("<Q", p))[0] for p in patterns]
+
+
+def _repr_calls(monkeypatch, values) -> list[float]:
+    """The values ``format_floats`` passes to ``repr``, and the bytes checked against ``repr``."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(_floatfmt, "repr", counting, raising=False)
+    _assert_repr(values)
+    return calls
+
+
+def _short(x: float) -> bool:
+    """Whether the exact decimal expansion of ``x`` has at most 20 significant digits.  Every value whose scaled
+    form ``4 x 10^-k`` (below 2^55 10) is an integer has one, and the kernel leaves those to ``repr``."""
+    return len(Decimal(x).normalize().as_tuple().digits) <= 20
 
 
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300))
@@ -52,10 +72,10 @@ def test_edges():
     _assert_repr(_EDGES + [-v for v in _EDGES])
 
 
-def test_signed_zeros_nans_and_infinities_take_repr():
+def test_signed_zeros_nans_and_infinities_take_repr(monkeypatch):
     specials = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), -float("nan")]
     specials += _from_bits(0x7FF0000000000001, 0xFFF8000000000123, 0x7FFFFFFFFFFFFFFF)
-    assert _reprs(np.array(specials)) == [repr(v).encode() for v in specials]
+    assert len(_repr_calls(monkeypatch, specials)) == len(specials)
 
 
 def test_uncertified_values_take_repr(monkeypatch):
@@ -76,17 +96,6 @@ def test_blocks_and_the_empty_array():
     assert chars.shape == (0, 32) and lengths.shape == (0,)
 
 
-@pytest.mark.parametrize("draw", ["uniform-5000", "unit", "thousandths", "times"])
-def test_blocks_without_scientific_values_format_as_repr(draw):
-    """Whole blocks of positional values, as simulation tables hold them, take the kernel's positional path."""
-    rng, n = np.random.default_rng(11), 16_384
-    values = {"uniform-5000": lambda: rng.uniform(-5000.0, 5000.0, n),
-              "unit": lambda: rng.uniform(0.0, 1.0, n),
-              "thousandths": lambda: rng.uniform(1e-3, 1e-2, n),
-              "times": lambda: np.round(rng.uniform(0.0, 20.0, n), 3)}[draw]()
-    _assert_repr(values)
-
-
 def test_power_table_exceeds_the_exact_powers_by_at_most_one():
     g1, g0, e = _floatfmt._powers()
     for K, hi, lo, exp in zip(range(_floatfmt._K_LO, _floatfmt._K_HI + 1), g1.tolist(), g0.tolist(),
@@ -96,10 +105,46 @@ def test_power_table_exceeds_the_exact_powers_by_at_most_one():
         assert 0 < (hi << 64 | lo) - scaled <= 1
 
 
-@pytest.mark.parametrize("closer", [False, True])
-def test_decimal_exponent_is_the_floor_log10_of_the_binade(closer):
-    q = np.arange(-1074, 972)
-    k = _floatfmt._floor_log10_pow2(q, np.full(q.shape, closer))
-    scale = Fraction(3, 4) if closer else Fraction(1)
-    for qi, ki in zip(q.tolist(), k.tolist()):
-        assert Fraction(10) ** ki <= scale * Fraction(2) ** qi < Fraction(10) ** (ki + 1)
+def test_decimal_exponent_is_the_floor_log10_of_the_binade():
+    k = _floatfmt._binades()[0]
+    assert len(k) == 2047
+    for E, ki in enumerate(k.tolist()):
+        assert Fraction(10) ** ki <= Fraction(2) ** (E - 1075) < Fraction(10) ** (ki + 1)
+
+
+@pytest.mark.parametrize("draw", ["uniform-5000", "unit", "thousandths", "times", "decades"])
+def test_blocks_without_scientific_values_format_as_repr(monkeypatch, draw):
+    """Whole blocks of positional values, as simulation tables hold them, take the kernel's positional path:
+    at most 0.1% of a draw takes ``repr`` for any reason but a short exact expansion.
+
+    The short ones are the 3-decimal times that are multiples of 1/8 (0.8% of the draw) and, among the
+    decades, every value from 2^48 up, whose spacing is at least 1/16, and many just below it (9%)."""
+    rng, n = np.random.default_rng(11), 16_384
+    values = {"uniform-5000": lambda: rng.uniform(-5000.0, 5000.0, n),
+              "unit": lambda: rng.uniform(0.0, 1.0, n),
+              "thousandths": lambda: rng.uniform(1e-3, 1e-2, n),
+              "times": lambda: np.round(rng.uniform(0.0, 20.0, n), 3),
+              "decades": lambda: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, 16.0, n)}[draw]()
+    calls = _repr_calls(monkeypatch, values)
+    assert sum(not _short(x) for x in calls) <= 0.001 * n
+    assert len(calls) <= {"times": 0.01, "decades": 0.1}.get(draw, 0.001) * n
+
+
+# what the kernel leaves to repr besides +-0.0, +-inf and nan
+_REPR_CLASSES = {
+    "subnormals": [5e-324, -2.225073858507201e-308, 1e-310],
+    "powers of two": [1.0, 0.5, -1024.0, 2.0**-1022, 2.0**60],
+    "short exact expansions": [100.0, -4.25, 0.375, 1234567.0, 2.0**52 + 1.0, 1933585633082760.8],
+    "scientific": [1e-5, -9.999999999999999e-06, 1e16, 1.2345e22, 1.7976931348623157e308, 3.5e-300],
+}
+
+
+@pytest.mark.parametrize("kind", _REPR_CLASSES)
+def test_classes_the_kernel_leaves_to_repr(monkeypatch, kind):
+    values = _REPR_CLASSES[kind]
+    assert len(_repr_calls(monkeypatch, values)) == len(values)
+
+
+def test_17_digit_positional_values_take_the_kernel(monkeypatch):
+    values = [0.30000000000000004, -1234.5678901234567, 0.00012345678901234567, 98765.43210987654, 1.0 / 3.0]
+    assert _repr_calls(monkeypatch, values) == []

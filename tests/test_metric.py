@@ -17,6 +17,7 @@ from parnav import (
     as_field,
     numdiff,
 )
+from tests.draws import shoot_shear
 
 ORIGIN = np.zeros(2)
 
@@ -120,6 +121,29 @@ def test_euler_identity(y1, y2):
     F2 = m.F(ORIGIN, y) ** 2
     assert float(y @ g @ y) == pytest.approx(F2, rel=1e-6)
     assert np.array_equal(g, g.T)
+
+
+@settings(max_examples=100)
+@given(draw=shoot_shear.strategy(), x=st.tuples(*[st.floats(-2.0, 2.0)] * 2), angle=st.floats(-math.pi, math.pi))
+def test_reversed_velocity_against_or_with_the_field(draw, x, angle):
+    """F(x, -y) != F(x, y) wherever <y, v_T(x)> != 0: the velocity going with the field takes longer, since
+    F = |y|^2 / (c |y| - <y, v_T>).  Below 8 ulps of c |y| the two denominators may round alike."""
+    scenario, field = draw  # |v_T| <= 0.22 + 0.6 |x| < v_M = 2 on the square: both directions are in the domain
+    metric = NavMetric(NavMetricParams(scenario.v_m), field)
+    y = np.array([math.cos(angle), math.sin(angle)])
+    forward, backward = metric.F_many(np.array([x, x]), np.array([y, -y]))
+    yv = float(np.einsum("i,i->", y, field(np.array(x))))
+    if abs(yv) > 8.0 * np.finfo(float).eps * scenario.v_m:
+        assert forward > backward if yv > 0.0 else forward < backward
+
+
+@given(v=st.tuples(*[st.floats(-1.0, 1.0, width=32)] * 2), scale=st.integers(-30, 30))
+def test_reversed_velocity_across_the_field(v, scale):
+    """F(x, -y) == F(x, y) where <y, v_T(x)> = 0; float32 components make the products, and so the sum, exact."""
+    metric = NavMetric(NavMetricParams(2.0), ConstantField(v))
+    y = 2.0**scale * (np.array([-v[1], v[0]]) if any(v) else np.array([1.0, 0.0]))
+    forward, backward = metric.F_many(np.zeros((2, 2)), np.array([y, -y]))
+    assert forward == backward
 
 
 def test_stationary_tensor_is_scaled_identity():
