@@ -105,11 +105,16 @@ def test_power_table_exceeds_the_exact_powers_by_at_most_one():
         assert 0 < (hi << 64 | lo) - scaled <= 1
 
 
-def test_decimal_exponent_is_the_floor_log10_of_the_binade():
+@pytest.mark.parametrize("negative", [False, True])
+def test_decimal_exponent_is_the_floor_log10_of_the_binade(negative):
+    """``k`` for every binade, split by the sign of ``q``: for ``q < 0`` the right shift in :func:`_binades`
+    must round the negative product toward minus infinity."""
     k = _floatfmt._binades()[0]
     assert len(k) == 2047
     for E, ki in enumerate(k.tolist()):
-        assert Fraction(10) ** ki <= Fraction(2) ** (E - 1075) < Fraction(10) ** (ki + 1)
+        q = E - 1075
+        if (q < 0) == negative:
+            assert Fraction(10) ** ki <= Fraction(2) ** q < Fraction(10) ** (ki + 1)
 
 
 @pytest.mark.parametrize("draw", ["uniform-5000", "unit", "thousandths", "times", "decades"])
