@@ -360,6 +360,13 @@ def _load(args):
     return parse_scenario_text(text)
 
 
+def _range(r: np.ndarray) -> float:
+    """``np.linalg.norm(r)``, taken at the power of two of the largest |component| (exact) so that no square
+    overflows or underflows."""
+    e = math.frexp(float(np.max(np.abs(r))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e))), e)
+
+
 def _cmd_simulate(args) -> int:
     scenario, _, canonical = _load(args)
     result = simulate(scenario)
@@ -373,7 +380,7 @@ def _cmd_simulate(args) -> int:
         "intercept": result.intercept,
         "t_f": result.t_f,
         "n_nodes": result.n_nodes,
-        "final_range": float(np.linalg.norm(result.r[-1])),
+        "final_range": _range(result.r[-1]),
         "max_collinearity_defect": float(np.max(finite)) if finite.size else None,
     }
     _write_outputs(args, "simulate", canonical, summary, lambda path: write_csv(path, header, table))
@@ -419,6 +426,9 @@ def _cmd_pmp_check(args) -> int:
     _write_outputs(args, "pmp-check", canonical, report.summary(), lambda path: write_json(path, doc))
     if not args.quiet:
         print(f"pmp-check: passed={report.passed} max_adjoint={report.max_adjoint_residual:.3e}")
+    if not report.passed:
+        print("numerical failure: the course fails its optimality certificate (see the report)", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ acceleration ``-2 G(x, y)``, Chern-Shen's closed-form spray, and one
 classical RK4 step on states ``(x1, x2, y1, y2)``.  The shooter in
 :mod:`parnav.optimal` and :func:`integrate_geodesic` march the same
 step; :func:`spray_coefficients` is ``-accel / 2`` and the Berwald
-connection ``G^i_jk`` is a 4th-order stencil on it.  Any other field
-raises :class:`InvalidInputError`.  The Euler-Lagrange residual's
-partials of ``F`` are closed forms of the metric (``gradients_many``).
+connection ``G^i_jk`` its y-Hessian, in closed form from the same
+algebra.  Any other field raises :class:`InvalidInputError`.  The
+Euler-Lagrange residual's partials of ``F`` are closed forms of the
+metric (``gradients_many``).
 """
 
 from __future__ import annotations
@@ -83,6 +84,22 @@ def curve_from_arrays(metric, times, positions, velocities) -> CurveRecord:
     return CurveRecord(np.asarray(times, dtype=float), positions, velocities, F_values)
 
 
+def _jet_mul(f, g) -> np.ndarray:
+    """The product rule on jets in y: arrays ``[value, gradient (2), Hessian (4, row-major)]``."""
+    o = f[1:3, None] * g[1:3]
+    h = f[0] * g + g[0] * f
+    h[0], h[3:] = f[0] * g[0], h[3:] + (o + o.T).ravel()
+    return h
+
+
+def _jet_inv(f) -> np.ndarray:
+    """The jet of ``1 / f``."""
+    r = 1.0 / f[0]
+    h = -r * r * f
+    h[0], h[3:] = r, h[3:] + 2.0 * r * r * r * (f[1:3, None] * f[1:3]).ravel()
+    return h
+
+
 class _PlanarFlow:
     """The geodesic flow of a planar navigation metric, on Python floats.
 
@@ -141,6 +158,34 @@ class _PlanarFlow:
         k = ((y1 * ay1 + y2 * ay2) - 2.0 * q * ny * (b1 * s1 + b2 * s2)) * psi
         return -2.0 * (ny * q * s1 + k * (b1 + t * y1)), -2.0 * (ny * q * s2 + k * (b2 + t * y2))
 
+    def berwald(self, x1, x2, y1, y2) -> np.ndarray:
+        """``B[i, j, k] = d2 G^i / dy^j dy^k`` of ``G = -accel / 2``, behind accel's gates; zero in a constant field.
+
+        ``G = |y| Q S + k (b + T y)`` with ``S = W y`` (``W`` the skew part of ``db/dx``), ``k = (r_00 - 2 Q |y|
+        s_0) Psi`` and ``T = (1 - 4s) / (2|y|)``.  Each factor is carried as its jet in y (value, gradient and
+        Hessian) through the product rule, so B is exactly symmetric in (j, k).
+        """
+        self.accel(x1, x2, y1, y2)  # raises where the spray does
+        if self.A is None:
+            return np.zeros((2, 2, 2))
+        (v1, v2), g = self.base, self.grad
+        b = np.array([v1 + (g[0] * x1 + g[1] * x2), v2 + (g[2] * x1 + g[3] * x2)]) / self.c
+        A, y, ny = np.reshape(self.A, (2, 2)), np.array([y1, y2]), math.sqrt(y1 * y1 + y2 * y2)
+        R, W, u, one = A + A.T, 0.5 * (A - A.T), y / ny, np.eye(7)[0]
+
+        def jet(value, gradient, hessian=(0.0,) * 4):
+            return np.concatenate(([value], gradient, hessian))
+
+        norm = jet(ny, u, ((np.eye(2) - np.outer(u, u)) / ny).ravel())
+        inv_norm = _jet_inv(norm)
+        s = _jet_mul(jet(b @ y, b), inv_norm)
+        nq = _jet_mul(norm, _jet_inv(one - 2.0 * s))
+        psi = _jet_inv((1.0 + 2.0 * (b @ b)) * one - 3.0 * s)
+        k = _jet_mul(jet(y @ A @ y, R @ y, R.ravel()) - 2.0 * _jet_mul(nq, jet(b @ W @ y, W.T @ b)), psi)
+        kt = _jet_mul(k, _jet_mul(0.5 * (one - 4.0 * s), inv_norm))
+        G = [_jet_mul(nq, jet(W[i] @ y, W[i])) + b[i] * k + _jet_mul(kt, jet(y[i], np.eye(2)[i])) for i in range(2)]
+        return np.array([Gi[3:].reshape(2, 2) for Gi in G])
+
     def step(self, z, h: float) -> tuple:
         """One classical RK4 step of ``(x, y)' = (y, -2 G)`` from ``z = (x1, x2, y1, y2)``."""
         x1, x2, y1, y2 = z
@@ -184,55 +229,9 @@ def spray_coefficients(metric, x, y) -> np.ndarray:
     return np.array([-0.5 * a1, -0.5 * a2])
 
 
-# Directional step, relative to |y|, of the Berwald stencil; the 5-point,
-# 4th-order second-derivative weights on the offsets (-2, -1, 0, 1, 2) h.
-_BERWALD_REL = 5e-2
-_C5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_O5 = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def _directional_second(f, y: np.ndarray, u: np.ndarray, h: float) -> np.ndarray:
-    """4th-order second derivative of a vector map along direction ``u``.
-
-    Evaluates ``f`` at the five points ``y + k*h*u`` for ``k`` in
-    ``(-2..2)`` and combines with the standard (-1, 16, -30, 16, -1)/12
-    weights.  ``f`` may return an array of any shape.
-    """
-    acc = None
-    for c, k in zip(_C5, _O5):
-        term = c * np.asarray(f(y + k * h * u))
-        acc = term if acc is None else acc + term
-    return acc / (h * h)
-
-
 def berwald_coefficients(metric, x, y) -> np.ndarray:
-    """Berwald connection ``B[i, j, k] = d2 G^i / (dy^j dy^k)``.
-
-    Diagonal blocks come from a 4th-order directional stencil on the
-    spray of one :class:`_PlanarFlow` along each axis; off-diagonal blocks
-    use the polarization identity along the ``e_j + e_k`` and ``e_j - e_k``
-    diagonals, which keeps the result exactly symmetric in its lower indices.
-    """
-    flow = _PlanarFlow(metric)
-    x1, x2 = _planar_vector(x, "x")
-    y = np.array(_planar_vector(y, "y"))
-    n = y.size
-    h = _BERWALD_REL * float(np.linalg.norm(y))
-
-    def G(yy: np.ndarray) -> np.ndarray:
-        return -0.5 * np.array(flow.accel(x1, x2, *yy.tolist()))
-
-    B = np.empty((n, n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        B[:, j, j] = _directional_second(G, y, eye[j], h)
-    hd = h / math.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            plus = _directional_second(G, y, eye[j] + eye[k], hd)
-            minus = _directional_second(G, y, eye[j] - eye[k], hd)
-            B[:, j, k] = B[:, k, j] = 0.25 * (plus - minus)
-    return B
+    """Berwald connection ``B[i, j, k] = d2 G^i / (dy^j dy^k)``: :meth:`_PlanarFlow.berwald`."""
+    return _PlanarFlow(metric).berwald(*_planar_vector(x, "x"), *_planar_vector(y, "y"))
 
 
 def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) -> np.ndarray:

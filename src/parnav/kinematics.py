@@ -392,12 +392,13 @@ def _start_leg(seg, t, mx, my, v_m, eps):
     pvy = v_m * (sl * cd + cl * sd)
     closing = v_m * cd - seg.speed * cth
     if closing > 0.0:  # the relative velocity is closing * u, so F = 1 exactly
-        nvc, den = closing, closing * closing
-    else:
-        vcx, vcy = pvx - seg.vx, pvy - seg.vy
+        den, F = closing, 1.0
+    else:  # F has no unit: speeds over the power of two 2^e above them, exact, so that no square over- or underflows
+        e = math.frexp(max(v_m, seg.speed))[1]
+        vm, vx, vy, vcx, vcy = (math.ldexp(a, -e) for a in (v_m, seg.vx, seg.vy, pvx - seg.vx, pvy - seg.vy))
         nvc = math.hypot(vcx, vcy)
-        den = v_m * cd * nvc - (vcx * seg.vx + vcy * seg.vy)
-    F = (nvc * nvc / den) if den > 0.0 else math.nan
+        den = vm * cd * nvc - (vcx * vx + vcy * vy)
+        F = (nvc * nvc / den) if den > 0.0 else math.nan
     leg = _Leg(seg, t, rn, cl, sl, closing, (pvx, pvy, seg.vx, seg.vy, lam, th, math.asin(sd), F))
     return leg, "domain-exit" if den <= 0.0 and rn > eps else None
 
@@ -584,22 +585,55 @@ def collinearity_defect(result: SimResult) -> np.ndarray:
     Under exact parallel navigation the range vector only scales, so the
     cross product of ``r`` with its rate vanishes identically; the defect
     measures how far a recorded run deviates.  Nodes with a vanishing
-    rate (or range) give NaN.
+    rate (or range) give NaN.  The defect has no unit, so a node whose
+    products overflow or underflow is taken at powers of two of ``r`` and
+    ``rdot`` (:func:`_scaled_rows`).
     """
     r = list(result.r.T)
     v = [vt - vm for vt, vm in zip(result.v_t.T, result.v_m.T)]
-    if len(r) == 2:
-        cross = np.abs(r[0] * v[1] - r[1] * v[0])
-    else:  # np.cross's products and differences, in its order
-        cross = _norm([r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2], r[0] * v[1] - r[1] * v[0]])
-    den = _norm(r) * _norm(v)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0.0, cross / den, np.nan)
+    defect, den = _sight_line_defect(r, v)
+    odd = _abnormal(den)
+    if odd is not None:
+        defect[odd] = _sight_line_defect(*(_scaled_rows([c[odd] for c in a])[0] for a in (r, v)))[0]
+    return defect
+
+
+def _sight_line_defect(r, v):
+    """``(|r x v| / (|r| |v|), |r| |v|)`` row-wise from the component columns, NaN where a norm is 0."""
+    with np.errstate(all="ignore"):
+        if len(r) == 2:
+            cross = np.abs(r[0] * v[1] - r[1] * v[0])
+        else:  # np.cross's products and differences, in its order
+            cross = np.sqrt(sum(c * c for c in [r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2],
+                                                r[0] * v[1] - r[1] * v[0]]))
+        den = _norm(r) * _norm(v)
+        return np.where(den > 0.0, cross / den, np.nan), den
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _abnormal(x: np.ndarray) -> np.ndarray | None:
+    """The mask of the entries of ``x`` that are not normal floats (0, subnormal, infinite or NaN), or None."""
+    return None if x.min() >= _TINY and x.max() < np.inf else ~((x >= _TINY) & (x < np.inf))
+
+
+def _scaled_rows(components: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(columns, e)``: each row of the component columns over ``2^e``, the power of two that takes its largest
+    |component| into [0.5, 1).  That is exact, and no square of such a row overflows or underflows."""
+    e = np.frexp(np.max(np.abs(components), axis=0))[1]
+    return [np.ldexp(c, -e) for c in components], e
 
 
 def _norm(components: list[np.ndarray]) -> np.ndarray:
-    """Row norms from the component columns, the squares summed in order as ``np.linalg.norm(axis=1)`` sums them."""
-    total = components[0] * components[0]
-    for c in components[1:]:
-        total += c * c
-    return np.sqrt(total)
+    """Row norms from the component columns, the squares summed in order as ``np.linalg.norm(axis=1)`` sums them;
+    a row whose squares overflow or underflow is summed at its power of two (:func:`_scaled_rows`) and scaled back."""
+    with np.errstate(over="ignore", under="ignore"):
+        total = components[0] * components[0]
+        for c in components[1:]:
+            total += c * c
+    norm, odd = np.sqrt(total), _abnormal(total)
+    if odd is not None:
+        scaled, e = _scaled_rows([c[odd] for c in components])
+        norm[odd] = np.ldexp(np.sqrt(sum(c * c for c in scaled)), e)
+    return norm

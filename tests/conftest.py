@@ -21,6 +21,9 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# CI also runs the suite with ``--hypothesis-profile=explore --hypothesis-seed=N``: other draws than the one
+# derandomized stream, kept nowhere
+settings.register_profile("explore", settings.get_profile("repo"), derandomize=False, database=None)
 settings.load_profile("repo")
 
 TEST_SECONDS = 60.0  # per-test time limit, far above the slowest test (about 3 s)

@@ -127,27 +127,31 @@ def scale_speeds(scenario, field, mu):
 class MagnitudeFamily(_Family):
     decades: float  # lengths and speeds are scaled by log-uniform factors in [10^-decades, 10^decades]
     steps: int  # t_max / dt, which bounds a simulation's nodes
+    twins: bool = False  # draw (scaled draw, its unscaled twin) pairs
 
     def _draw(self, uniform):
         """A ``shoot_shear`` course or, with even odds, a planar engagement (that draw's start, hit radius and
         ``t_max``, a target at speed 1 in a heading U(-pi, pi), ``v_M`` U(0.5, 3), no field), with ``dt = t_max /
         steps``, lengths times ``lam`` and speeds times ``mu``; so times, ``dt`` and ``t_max`` are times ``lam / mu``.
         Drawn in the order course, choice, heading and ``v_M``, ``lam``, ``mu``.  None where a time leaves the floats,
-        which ``Scenario`` refuses."""
+        which ``Scenario`` refuses.  With ``twins``, the pair of that draw and the one at ``lam = mu = 1``."""
         scenario, field = shoot_shear._draw(uniform)
         if uniform(0.0, 1.0) < 0.5:
             scenario, field = scenario.with_(program=ConstantVelocity(1.0, uniform(-math.pi, math.pi)),
                                              v_m=uniform(0.5, 3.0)), None
         lam, mu = (10.0 ** uniform(-self.decades, self.decades) for _ in range(2))
+        twin = scenario.with_(dt=scenario.t_max / self.steps), field
         try:
             with np.errstate(over="ignore"):  # a gradient times mu / lam may overflow: the parser refuses it
-                return _mapped(scenario.with_(dt=scenario.t_max / self.steps), field, np.eye(2), lam, mu)
+                draw = _mapped(*twin, np.eye(2), lam, mu)
         except InvalidInputError:
             return None
+        return (draw, twin) if self.twins else draw
 
 
 # magnitudes across the doubles' range, on courses of at most about 2,000 nodes
 extreme_magnitudes = MagnitudeFamily(decades=300.0, steps=2000)
+extreme_twins = dataclasses.replace(extreme_magnitudes, twins=True)
 
 
 def document(scenario, field=None) -> dict:

@@ -1,6 +1,7 @@
 """Command-line interface: schema validation, exit codes, deterministic output."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +29,7 @@ from parnav import (
     simulate,
 )
 from tests.conftest import CLOSING
-from tests.draws import document, extreme_magnitudes
+from tests.draws import document, extreme_twins
 from tests.reference import csv_text, curve_rows, sim_rows
 
 
@@ -490,11 +492,28 @@ def test_3d_range_that_overflows_or_underflows_in_the_plane_exits_2(tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
+def _simulate_quietly(scenario_doc, tmp, *extra):
+    """``(exit code, record summary or None, table rows or None)`` of ``parnav simulate`` on ``scenario_doc``, with
+    any ``RuntimeWarning`` raised as an error."""
+    scenario, out = Path(tmp) / "twin.json", Path(tmp) / "twin.csv"
+    scenario.write_text(json.dumps(scenario_doc))
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["simulate", str(scenario), "--out", str(out), "--quiet", *extra])
+    if not out.exists():
+        return code, None, None
+    rows = list(csv.DictReader(out.open()))
+    return code, json.loads(Path(str(out) + ".record.json").read_text())["summary"], rows
+
+
 @settings(max_examples=100)
-@given(draw=extreme_magnitudes.strategy())
-def test_extreme_magnitudes_exit_with_a_documented_code_and_write_repr(draw):
+@given(pair=extreme_twins.strategy())
+def test_extreme_magnitudes_exit_with_a_documented_code_and_write_repr(pair):
     """Lengths and speeds from 1e-300 to 1e300: every mode ends in a documented exit code, and every table it
-    writes holds ``repr``'s bytes, which the float kernel leaves to ``repr`` itself for most of these values."""
+    writes holds ``repr``'s bytes, which the float kernel leaves to ``repr`` itself for most of these values.
+    ``simulate`` exits as on the unscaled twin, unless the scaled document is itself refused (a field gradient
+    that overflows), and raises no warning."""
+    draw, twin = pair
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "x.out"
         scenario.write_text(json.dumps(document(*draw)))
@@ -509,6 +528,28 @@ def test_extreme_magnitudes_exit_with_a_documented_code_and_write_repr(draw):
                 header, *lines = text.splitlines()
                 assert text == csv_text(header.split(","), [[float(v) for v in line.split(",")] for line in lines])
             out.unlink(missing_ok=True)
+        try:
+            cli.parse_scenario_text(scenario.read_text())
+        except InvalidInputError:
+            return
+        assert _simulate_quietly(document(*draw), tmp)[0] == _simulate_quietly(document(*twin), tmp)[0]
+
+
+@pytest.mark.parametrize("unit_speed", [[], ["--unit-speed"]], ids=["t", "unit-speed"])
+@pytest.mark.parametrize("lam", [1e-171, 1e-300, 1e160, 1e200])
+def test_simulate_at_extreme_magnitudes_answers_as_its_twin(tmp_path, lam, unit_speed):
+    # the squares of these speeds, lengths and their products underflow or overflow: no answer may depend on them
+    def run(lam):
+        doc = scenario_doc(scenario={"r0": [8.28 * lam, 21.2 * lam], "pursuer_speed": 7.41 * lam,
+                                     "target": {"type": "constant", "velocity": [-8.23 * lam, -2.06 * lam]},
+                                     "hit_radius": 0.5 * lam, "dt": 0.01, "t_max": 20.0})
+        return _simulate_quietly(doc, tmp_path, *unit_speed)
+
+    (code, summary, rows), (twin_code, twin_summary, twin_rows) = run(lam), run(1.0)
+    assert (code, summary["termination"]) == (twin_code, twin_summary["termination"]) == (0, "intercept")
+    assert [row["F"] for row in rows] == [row["F"] for row in twin_rows] == ["1.0"] * len(twin_rows)
+    assert 0.0 < summary["max_collinearity_defect"] < 1e-15
+    assert summary["final_range"] == pytest.approx(0.5 * lam, rel=1e-15)
 
 
 def test_pmp_check_report(tmp_path):
@@ -519,6 +560,20 @@ def test_pmp_check_report(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["report"]["passed"] is True
     assert doc["report"]["max_adjoint_residual"] < 1e-4
+
+
+def test_pmp_check_exits_5_on_a_failed_verdict_after_writing_both_files(tmp_path, capsys, monkeypatch):
+    def failing(metric, curve):
+        return dataclasses.replace(optimal.pmp_check(metric, curve), passed=False)
+
+    monkeypatch.setattr(cli, "pmp_check", failing)
+    out, record = tmp_path / "report.json", tmp_path / "run.json"
+    path = write_scenario(tmp_path, scenario_doc())
+    code = cli.main(["pmp-check", str(path), "--out", str(out), "--record", str(record), "--step", "0.05", "--quiet"])
+    assert code == 5
+    assert json.loads(out.read_text())["report"]["passed"] is False
+    assert json.loads(record.read_text())["summary"]["passed"] is False
+    assert "optimality certificate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

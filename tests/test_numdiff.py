@@ -6,7 +6,6 @@ import sys
 import numpy as np
 
 from parnav import numdiff
-from parnav.geodesics import _directional_second
 
 
 def _quadratic_energy(A):
@@ -53,18 +52,6 @@ def test_xy_mixed_layout():
 
     M = numdiff.xy_mixed(E, np.array([0.3, 0.9]), np.array([1.0, 2.0]))
     np.testing.assert_allclose(M, np.outer(b, a), rtol=1e-7, atol=1e-10)
-
-
-def test_directional_second_on_quartic():
-    # f(y) = |y|^4 along u: second derivative 4|y|^2 + 8 (y.u)^2 for unit u
-    def f(y):
-        return np.array([np.dot(y, y) ** 2])
-
-    y = np.array([1.0, 0.5])
-    u = np.array([1.0, 0.0])
-    d2 = _directional_second(f, y, u, h=0.05 * np.linalg.norm(y))
-    expected = 4.0 * np.dot(y, y) + 8.0 * y[0] ** 2
-    np.testing.assert_allclose(d2, [expected], rtol=1e-8)
 
 
 def test_relative_steps_track_scale():

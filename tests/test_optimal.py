@@ -652,6 +652,23 @@ def _answer(sc, field):
         return type(exc), None, None
 
 
+_GRID_RESIDUALS = ("max_adjoint_residual", "max_el_residual")
+
+
+def _assert_turned_certificate(sc, field, course, report, moved_report):
+    """A course turned at roundoff keeps its certificate: the adjoint and EL maxima, differences of the momenta
+    over a step, to the roundoff scale ``eps n max|p| / h`` of ``n`` nodes and step ``h``, the others to 1e-11.
+
+    That scale was 2.5e-11 to 7.6e-11 over 300 seeded ``convex_shear`` draws under 3 random orthogonal maps each,
+    and the maxima moved by at most 0.025 of it there; the pinned draw below moves the EL maximum by 0.39 of it."""
+    F, dFdv, _ = NavMetric(NavMetricParams(sc.v_m), field).gradients_many(course.positions, course.velocities)
+    p = np.max(np.linalg.norm(F[:, None] * dFdv, axis=1))
+    roundoff = np.finfo(float).eps * course.n_nodes * p / (course.times[1] - course.times[0])
+    for key, value in report.items():
+        bound = roundoff if key in _GRID_RESIDUALS else 1e-11
+        assert moved_report[key] == pytest.approx(value, rel=0.0, abs=bound)
+
+
 @pytest.mark.parametrize("transform", ["rotate", "scale_lengths", "scale_speeds"])
 @settings(max_examples=60)
 @given(draw=convex_shear.strategy(), data=st.data())
@@ -680,10 +697,20 @@ def test_answer_turns_and_scales_with_the_scenario(transform, draw, data):
         mapped = lam * course.positions @ Q.T
         assert np.max(np.abs(moved_course.positions - mapped)) <= 1e-13 * lam * np.linalg.norm(sc.r0)
     if refusal is None and transform == "rotate":
-        # the residuals are grid error over a step, so a course turned at roundoff moves the adjoint and EL maxima
-        # by up to 9.8e-13 (800 seeded draws), 2.2e-3 of their size, and the others by 4e-15: all agree to 1e-11
-        for key, value in report.items():
-            assert moved_report[key] == pytest.approx(value, rel=0.0, abs=1e-11)
+        _assert_turned_certificate(sc, field, course, report, moved_report)
+
+
+def test_reflected_course_keeps_its_certificate_to_the_roundoff_scale():
+    # a convex_shear draw that a reflection moves by 1.7e-11 in the EL maximum (1.5e-11 to 3.2e-11, both on 496
+    # nodes), over an absolute 1e-11 but within the roundoff scale 4.4e-11
+    sc = Scenario(r0=np.array([0.6939343937069004, 1.0807387851628427]), program=ConstantVelocity.from_vector(
+        [0.125, 0.0]), v_m=2.0, hit_radius=0.04515491028971929, t_max=10.0)
+    field = LinearField([0.125, 0.0], [[0.0, 0.0], [0.0, 6.103515625e-05]])
+    course, report = _certified(sc, field)
+    moved, moved_report = _certified(*rotate(sc, field, np.diag([-1.0, 1.0])))
+    assert moved.n_nodes == course.n_nodes == 496
+    assert abs(moved_report["max_el_residual"] - report["max_el_residual"]) > 1e-11
+    _assert_turned_certificate(sc, field, course, report, moved_report)
 
 
 def test_optimal_trajectory_needs_field_for_maneuvers():
