@@ -40,6 +40,7 @@ from .errors import (
 )
 from .kinematics import (
     _MAX_STEPS,
+    _length,
     ConstantVelocity,
     PiecewiseConstant,
     Scenario,
@@ -275,17 +276,11 @@ def _csv_block(block: np.ndarray) -> bytearray:
 
 
 def _jsonable(obj):
+    """``obj`` with its non-finite floats as None: records hold only dicts, strings, bools, ints and floats."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 
@@ -360,13 +355,6 @@ def _load(args):
     return parse_scenario_text(text)
 
 
-def _range(r: np.ndarray) -> float:
-    """``np.linalg.norm(r)``, taken at the power of two of the largest |component| (exact) so that no square
-    overflows or underflows."""
-    e = math.frexp(float(np.max(np.abs(r))))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e))), e)
-
-
 def _cmd_simulate(args) -> int:
     scenario, _, canonical = _load(args)
     result = simulate(scenario)
@@ -380,7 +368,7 @@ def _cmd_simulate(args) -> int:
         "intercept": result.intercept,
         "t_f": result.t_f,
         "n_nodes": result.n_nodes,
-        "final_range": _range(result.r[-1]),
+        "final_range": _length(result.r[-1]),
         "max_collinearity_defect": float(np.max(finite)) if finite.size else None,
     }
     _write_outputs(args, "simulate", canonical, summary, lambda path: write_csv(path, header, table))
@@ -400,7 +388,7 @@ def _cmd_optimal(args) -> int:
     summary = {
         "t_f": float(curve.times[-1]),
         "n_nodes": curve.n_nodes,
-        "final_range": float(np.linalg.norm(curve.positions[-1])),
+        "final_range": _length(curve.positions[-1]),
         "max_unit_defect": float(np.max(np.abs(curve.F_values - 1.0))),
     }
     _write_outputs(args, "optimal", canonical, summary, lambda path: write_csv(path, header, table))
@@ -412,10 +400,7 @@ def _cmd_optimal(args) -> int:
 def _cmd_pmp_check(args) -> int:
     scenario, metric_cfg, canonical = _load(args)
     curve = optimal_trajectory(scenario, metric_cfg["field"], step=args.step)
-    field = metric_cfg["field"]
-    if field is None:
-        field = ConstantField(scenario.program.vector)
-    metric = NavMetric(NavMetricParams(scenario.v_m), field)
+    metric = NavMetric(NavMetricParams(scenario.v_m), metric_cfg["field"] or ConstantField(scenario.program.vector))
     report = pmp_check(metric, curve)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -463,7 +448,7 @@ def _cmd_sweep(args) -> int:
     speed = scenario.program.initial_speed
     if speed <= 0.0:
         raise InvalidInputError("sweep needs a moving target")
-    range0 = float(np.linalg.norm(scenario.r0))
+    range0 = _length(scenario.r0)
     ks, thetas = _parse_grid(args.grid)
 
     header = ["K", "theta0_deg", "delta0", "t_f_closed", "t_f_sim", "rel_err", "status"]

@@ -234,25 +234,6 @@ def berwald_coefficients(metric, x, y) -> np.ndarray:
     return _PlanarFlow(metric).berwald(*_planar_vector(x, "x"), *_planar_vector(y, "y"))
 
 
-def _covariant_rate(metrics, curve: CurveRecord, Y: np.ndarray, variant: str) -> np.ndarray:
-    """Covariant rate of a vector field ``Y(t)`` along a curve, node ``i``'s connection taken from ``metrics[i]``.
-
-    variant="quadratic" returns ``dY/dt + G^i_jk(x, v) Y^j Y^k`` and
-    variant="affine" returns ``dY/dt + G^i_jk(x, v) v^j Y^k``, where the
-    connection is evaluated along the curve's own velocity ``v``.  Both
-    are returned on the curve's time grid.
-    """
-    if variant not in ("quadratic", "affine"):
-        raise InvalidInputError(f"unknown variant {variant!r}")
-    dY = _time_derivative(Y, curve.times)
-    out = np.empty_like(Y)
-    for i, m in enumerate(metrics):
-        B = berwald_coefficients(m, curve.positions[i], curve.velocities[i])
-        Z = Y[i] if variant == "quadratic" else curve.velocities[i]
-        out[i] = dY[i] + np.einsum("ijk,j,k->i", B, Z, Y[i])
-    return out
-
-
 def integrate_geodesic(metric, x0, y0, horizon: float, step: float = 1e-3) -> CurveRecord:
     """Integrate ``x'' = -2 G(x, x')`` with classical RK4 on the metric's :class:`_PlanarFlow`.
 

@@ -89,7 +89,7 @@ class ConstantVelocity:
 
     @property
     def initial_speed(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return _length(self.vector)
 
     def planar_segments(self, r0x: float, r0y: float) -> list[_Segment]:
         if self.dim != 2:
@@ -143,7 +143,7 @@ class Waypoints:
             raise InvalidInputError("waypoints must be an (n >= 2, 2) array")
         if not (speed > 0.0):
             raise InvalidInputError("waypoint speed must be positive")
-        if np.any(np.linalg.norm(np.diff(self.points, axis=0), axis=1) == 0.0):
+        if np.any(_norm(list(np.diff(self.points, axis=0).T)) == 0.0):
             raise InvalidInputError("consecutive waypoints must be distinct")
         self.speed = float(speed)
         self.dim = 2
@@ -160,8 +160,9 @@ class Waypoints:
         t = 0.0
         for a, b in zip(self.points[:-1], self.points[1:]):
             leg = b - a
-            length = float(np.linalg.norm(leg))
-            vx, vy = self.speed * leg[0] / length, self.speed * leg[1] / length
+            length = _length(leg)
+            e = math.frexp(length)[1]  # the leg and its length over 2^e, exact, so that speed * leg cannot overflow
+            vx, vy = (self.speed * np.ldexp(leg, -e) / math.ldexp(length, -e)).tolist()
             segs.append(_make_segment(t, float(a[0]), float(a[1]), vx, vy))
             t += length / self.speed
         last = self.points[-1]
@@ -204,8 +205,8 @@ class Scenario:
             raise InvalidInputError("pursuer speed must be positive")
         if not all(0.0 < v < math.inf for v in (self.dt, self.t_max, self.hit_radius)):
             raise InvalidInputError("dt, t_max and hit_radius must be positive and finite")
-        if math.hypot(*r0) <= self.hit_radius:  # no overflow on the way to a finite range
-            raise InvalidInputError("initial range must exceed the hit radius")
+        if not self.hit_radius < math.hypot(*r0) < math.inf:  # hypot: no overflow on the way to a finite range
+            raise InvalidInputError("initial range must exceed the hit radius and lie within the floats")
         if r0.size == 3 and getattr(self.program, "dim", 2) != 3:
             raise InvalidInputError("3-d scenarios need a 3-d constant-velocity program")
         if r0.size == 2 and getattr(self.program, "dim", 2) != 2:
@@ -476,25 +477,18 @@ def _engagement_plane(r0: np.ndarray, v: np.ndarray):
 
     ``basis`` is an orthonormal (2, 3) basis of the plane spanned by ``r0`` and
     ``v``, led by ``r0 / |r0|``; plane arrays lift back to 3-d as ``arr @ basis``.
-    Raises :class:`InvalidInputError` when ``|r0|`` overflows or underflows,
-    so that the basis or the in-plane start ``(|r0|, 0)`` is lost.
     """
-    with np.errstate(all="ignore"):  # such magnitudes are refused below
-        e1 = r0 / np.linalg.norm(r0)
-        h = v - (v @ e1) * e1
-        nh = np.linalg.norm(h)
-        if nh > 1e-12 * max(1.0, float(np.linalg.norm(v))):
-            e2 = h / nh
-        else:  # collinear geometry: any unit vector orthogonal to e1 will do
-            probe = np.eye(3)[int(np.argmin(np.abs(e1)))]
-            e2 = probe - (probe @ e1) * e1
-            e2 /= np.linalg.norm(e2)
-        basis = np.stack([e1, e2])
-        start = basis @ r0
-    if not (np.all(np.isfinite(basis)) and 0.0 < start[0] < math.inf):
-        raise InvalidInputError(f"|r0| of {r0.tolist()} overflows or underflows in the engagement plane: "
-                                "rescale lengths or speeds")
-    return basis, start, basis @ v
+    e1 = r0 / _length(r0)
+    h = v - (v @ e1) * e1
+    nh = _length(h)
+    if nh > 1e-12 * _length(v):
+        e2 = h / nh
+    else:  # collinear geometry: any unit vector orthogonal to e1 will do
+        probe = np.eye(3)[int(np.argmin(np.abs(e1)))]
+        e2 = probe - (probe @ e1) * e1
+        e2 /= _length(e2)
+    basis = np.stack([e1, e2])
+    return basis, basis @ r0, basis @ v
 
 
 def simulate(scenario: Scenario) -> SimResult:
@@ -623,6 +617,16 @@ def _scaled_rows(components: list[np.ndarray]) -> tuple[list[np.ndarray], np.nda
     |component| into [0.5, 1).  That is exact, and no square of such a row overflows or underflows."""
     e = np.frexp(np.max(np.abs(components), axis=0))[1]
     return [np.ldexp(c, -e) for c in components], e
+
+
+def _length(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of one vector, taken at the power of two of its largest |component|: that is exact, so
+    the norm keeps its bits wherever no square overflows or underflows, and is right where one would."""
+    e = math.frexp(max(map(abs, v.tolist())))[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    except OverflowError:  # a length beyond the floats
+        return math.inf
 
 
 def _norm(components: list[np.ndarray]) -> np.ndarray:

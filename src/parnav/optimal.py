@@ -34,15 +34,16 @@ from .errors import (
 from .geodesics import (
     CurveRecord,
     _PlanarFlow,
-    _covariant_rate,
     _flow_curve,
+    _planar_vector,
     _time_derivative,
     _trapezoid,
     curve_from_arrays,
-    euler_lagrange_residual,  # unused here, but perfbench's tracer wraps it under this module
+    # unused here, but perfbench's tracer wraps them under this module
+    euler_lagrange_residual,
     spray_coefficients,
 )
-from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _resolve_speed, pn_lead_angle
+from .kinematics import _MAX_STEPS, Scenario, ConstantVelocity, _length, _resolve_speed, pn_lead_angle
 from .metric import ConstantField, NavMetric, NavMetricParams
 
 __all__ = [
@@ -104,15 +105,9 @@ class OptimalityReport:
     max_abs_delta_star = 0.0  # the lead angle's maximum is delta* = 0 in closed form
 
     def summary(self) -> dict:
-        return {
-            "max_unit_defect": self.max_unit_defect,
-            "max_hamiltonian": self.max_hamiltonian,
-            "max_control_gap": self.max_control_gap,
-            "max_adjoint_residual": self.max_adjoint_residual,
-            "max_el_residual": self.max_el_residual,
-            "max_abs_delta_star": self.max_abs_delta_star,
-            "passed": self.passed,
-        }
+        """The record's keys: every field but the per-node arrays, and ``max_abs_delta_star``."""
+        doc = {k: v for k, v in vars(self).items() if not isinstance(v, np.ndarray)}
+        return {**doc, "max_abs_delta_star": self.max_abs_delta_star}
 
 
 def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
@@ -153,7 +148,7 @@ def pmp_check(metric: NavMetric, curve: CurveRecord) -> OptimalityReport:
     # euler_lagrange_residual(metric, curve, energy_scale=1.0) bit for bit: its momenta are 2P
     el = 2.0 * np.linalg.norm(dPdt - F[:, None] * dFdx, axis=1)
     max_ham, max_gap, max_adj, max_el = (float(np.max(a)) for a in (np.abs(hams), np.abs(gaps), adj, el))
-    range0 = float(np.linalg.norm(X[0]))
+    range0 = _length(X[0])
 
     return OptimalityReport(
         max_unit_defect=unit_defect,
@@ -284,7 +279,7 @@ def _hitting_shot(metric: NavMetric, flow, x0: np.ndarray, eps: float, step: flo
     the best miss and its angle.
     """
     phi_aim = math.atan2(-x0[1], -x0[0])
-    r0 = float(np.linalg.norm(x0))
+    r0 = _length(x0)
     fan = (phi_aim + sgn * k * _FAN_STEP for k in itertools.count(1) for sgn in (1.0, -1.0))
     fired: set[float] = set()
     misses: list[tuple[float, float]] = []  # (phi, signed miss) of the shots that stayed in the domain
@@ -363,7 +358,7 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
 
     # time scale: metric length of the straight chord to the origin, or its pursuer time where it does not close
     with np.errstate(over="ignore", invalid="ignore"):  # magnitudes that overflow here are refused below
-        range0 = float(np.linalg.norm(x0))
+        range0 = _length(x0)
         chord = metric.value(x0, -x0)
         t_hat = chord.value if chord.in_domain else range0 / scenario.v_m
         if step is None:
@@ -480,33 +475,34 @@ def pursuer_ode_residual(
 ) -> np.ndarray:
     """Node-wise defect of the second-order pursuit equation.
 
-    Checks ``d2 r_M / dt2 + 2 G(x, dx/dt) = D v_T / Dt`` on a shared
-    time grid, with the spray of the per-node lead-angle metric on the
-    left and the covariant rate of the target velocity (variant as in
-    :func:`parnav.geodesics._covariant_rate`) on the right.  For a
-    spatially constant target velocity both sides vanish along exact
-    parallel-navigation runs.
+    Checks ``d2 r_M / dt2 + 2 G(x, dx/dt) = D v_T / Dt`` on a shared time
+    grid.  One :class:`parnav.geodesics._PlanarFlow` of the node's lead-angle
+    metric gives the spray ``G = -accel / 2`` and the Berwald connection
+    ``G^i_jk``, both at the course's node ``(x, v)``; the covariant rate of the
+    target velocity ``Y`` is ``dY/dt + G^i_jk Y^j Y^k`` (variant="quadratic")
+    or ``dY/dt + G^i_jk v^j Y^k`` (variant="affine").  For a spatially constant
+    target velocity both sides vanish along exact parallel-navigation runs.
     """
+    if variant not in ("quadratic", "affine"):
+        raise InvalidInputError(f"unknown variant {variant!r}")
     for other in (target_curve, course_curve):  # one grid: node times agree to 1e-12 of the largest
         if other.times.shape != pursuer_curve.times.shape or not np.allclose(
             other.times, pursuer_curve.times, rtol=0.0, atol=1e-12 * float(np.max(np.abs(pursuer_curve.times)))
         ):
             raise InvalidInputError("curves must share one time grid")
     N = pursuer_curve.n_nodes
-    if deltas is None:
-        deltas = np.zeros(N)
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = np.zeros(N) if deltas is None else np.asarray(deltas, dtype=float)
     if deltas.shape != (N,):
         raise InvalidInputError(f"deltas must hold one lead angle per node: shape ({N},), got {deltas.shape}")
 
-    d1 = _time_derivative(pursuer_curve.positions, pursuer_curve.times)
-    accel = _time_derivative(d1, pursuer_curve.times)
-
-    metrics = [metric.with_delta(float(d)) for d in deltas]
-    G = [spray_coefficients(m, x, v) for m, x, v in zip(metrics, course_curve.positions, course_curve.velocities)]
-    lhs = accel + 2.0 * np.asarray(G)
-    # covariant rate of the target velocity along the course, per-node delta
-    rhs = _covariant_rate(metrics, course_curve, target_curve.velocities, variant)
+    lhs = _time_derivative(_time_derivative(pursuer_curve.positions, pursuer_curve.times), pursuer_curve.times)
+    Y = target_curve.velocities
+    rhs = _time_derivative(Y, course_curve.times)
+    for i, (x, v, delta) in enumerate(zip(course_curve.positions, course_curve.velocities, deltas)):
+        flow = _PlanarFlow(metric.with_delta(float(delta)))
+        xv = (*_planar_vector(x, "x"), *_planar_vector(v, "y"))
+        lhs[i] -= flow.accel(*xv)  # + 2 G
+        rhs[i] += np.einsum("ijk,j,k->i", flow.berwald(*xv), Y[i] if variant == "quadratic" else v, Y[i])
     return np.linalg.norm(lhs - rhs, axis=1)
 
 

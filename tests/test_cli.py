@@ -29,7 +29,7 @@ from parnav import (
     simulate,
 )
 from tests.conftest import CLOSING
-from tests.draws import document, extreme_twins
+from tests.draws import SPACE, WAYPOINTS, document, extreme_twins
 from tests.reference import csv_text, curve_rows, sim_rows
 
 
@@ -480,15 +480,14 @@ def test_time_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys, case, m
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("r0", [[0.0, 1e200, 1e200], [0.0, 1e-200, 1e-200]], ids=["overflows", "underflows"])
-def test_3d_range_that_overflows_or_underflows_in_the_plane_exits_2(tmp_path, capsys, r0):
-    """|r0| passes math.hypot, but the sum of squares that the engagement plane normalises by does not."""
-    doc = {"schema_version": 1, "scenario": {"r0": r0, "target": {"type": "constant", "velocity": [1.0, 0.0, 0.0]},
-                                             "pursuer_speed": 2.0, "hit_radius": 1e-300}}
+@pytest.mark.parametrize("r0", [[1.5e308, 1.5e308], [1.5e308, 0.0, 1.5e308]], ids=["2-d", "3-d"])
+def test_range_beyond_the_floats_exits_2(tmp_path, capsys, r0):
+    target = {"type": "constant", "velocity": [1.0, 0.0, 0.0][: len(r0)]}
+    doc = {"schema_version": 1, "scenario": {"r0": r0, "target": target, "pursuer_speed": 2.0}}
     code = cli.main(["simulate", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "run.csv"), "--quiet"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith("rescale lengths or speeds\n")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "within the floats" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
@@ -550,6 +549,49 @@ def test_simulate_at_extreme_magnitudes_answers_as_its_twin(tmp_path, lam, unit_
     assert [row["F"] for row in rows] == [row["F"] for row in twin_rows] == ["1.0"] * len(twin_rows)
     assert 0.0 < summary["max_collinearity_defect"] < 1e-15
     assert summary["final_range"] == pytest.approx(0.5 * lam, rel=1e-15)
+
+
+# one engagement of each target form, with lengths and speeds times lam, so that its times do not change
+_TWINS = {
+    "ratio-heading": lambda lam: {"r0": [1000.0 * lam, 0.0], "ratio": 2.0, "hit_radius": 0.5 * lam,
+                                  "target": {"type": "constant", "speed": 100.0 * lam, "heading_deg": 60.0}},
+    "ratio-velocity": lambda lam: {"r0": [1000.0 * lam, 0.0], "ratio": 2.0, "hit_radius": 0.5 * lam,
+                                   "target": {"type": "constant", "velocity": [50.0 * lam, 86.6 * lam]}},
+    "waypoints": lambda lam: {"r0": (lam * WAYPOINTS.r0).tolist(), "pursuer_speed": lam * WAYPOINTS.v_m,
+                              "hit_radius": 0.5 * lam,
+                              "target": {"type": "waypoints", "speed": lam * WAYPOINTS.program.speed,
+                                         "points": (lam * WAYPOINTS.program.points).tolist()}},
+    "space": lambda lam: {"r0": (lam * SPACE.r0).tolist(), "pursuer_speed": lam * SPACE.v_m, "hit_radius": 0.5 * lam,
+                          "target": {"type": "constant", "velocity": (lam * SPACE.program.vector).tolist()}},
+    # |r0|'s sum of squares overflows or underflows at 1e+-200: the engagement plane takes |r0| at a power of two
+    "space-on-an-axis": lambda lam: {"r0": [0.0, lam, lam], "pursuer_speed": 2.0 * lam, "hit_radius": 1e-100 * lam,
+                                     "target": {"type": "constant", "velocity": [lam, 0.0, 0.0]}},
+}
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-100, 1e200])  # at 1e-100 the plane's collinearity test is relative
+@pytest.mark.parametrize("case", sorted(_TWINS))
+def test_simulate_answers_as_its_twin_in_every_target_form(tmp_path, case, lam):
+    (code, summary, rows), (twin_code, twin_summary, twin_rows) = (
+        _simulate_quietly({"schema_version": 1, "scenario": _TWINS[case](k)}, tmp_path) for k in (lam, 1.0))
+    assert (code, summary["termination"]) == (twin_code, twin_summary["termination"]) == (0, "intercept")
+    assert len(rows) == len(twin_rows)
+    assert summary["t_f"] == pytest.approx(twin_summary["t_f"], rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e-200, 1e200])
+def test_sweep_answers_as_its_twin(tmp_path, lam):
+    def run(k):
+        out = tmp_path / "sweep.csv"
+        path = write_scenario(tmp_path, {"schema_version": 1, "scenario": _TWINS["ratio-heading"](k)})
+        code = cli.main(["sweep", str(path), "--out", str(out), "--grid", "K=0.5,1.5,2;theta0_deg=0,60,150", "--quiet"])
+        statuses = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+        return code, json.loads(Path(str(out) + ".record.json").read_text())["summary"]["hits"], statuses
+
+    code, hits, statuses = run(lam)
+    assert (code, hits, statuses) == run(1.0)
+    assert hits == statuses.count("intercept") > 0
 
 
 def test_pmp_check_report(tmp_path):

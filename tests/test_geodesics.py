@@ -25,7 +25,7 @@ from parnav import (
     optimal,
     spray_coefficients,
 )
-from parnav.geodesics import _PlanarFlow, _covariant_rate
+from parnav.geodesics import _PlanarFlow
 from tests.draws import convex_shear
 from tests.reference import rk4_step, spray_many
 
@@ -290,17 +290,20 @@ def test_berwald_contracts_to_the_spray_over_convex_shear(draw, where, phi, spee
 
 
 def test_covariant_derivative_flat_reduces_to_plain_derivative(example_metric):
+    # a flat metric has no spray and no connection, and a straight pursuer no acceleration: the pursuit residual is
+    # the plain rate |dY/dt| of the target velocity in both variants
     t = np.linspace(0.0, 1.0, 41)
     pos = np.stack([-1000.0 + 120.0 * t, 40.0 * t], axis=1)
     vel = np.repeat(np.array([[120.0, 40.0]]), t.size, axis=0)
     curve = curve_from_arrays(example_metric, t, pos, vel)
     Y = np.stack([np.sin(t), np.cos(2.0 * t)], axis=1)
-    expected = np.gradient(Y, t, axis=0, edge_order=2)
+    target = CurveRecord(t, pos, Y, curve.F_values)
+    expected = np.linalg.norm(np.gradient(Y, t, axis=0, edge_order=2), axis=1)
     for variant in ("quadratic", "affine"):
-        got = _covariant_rate([example_metric] * curve.n_nodes, curve, Y, variant)
+        got = optimal.pursuer_ode_residual(example_metric, curve, target, curve, variant=variant)
         np.testing.assert_allclose(got, expected, atol=1e-9)
-    with pytest.raises(InvalidInputError):
-        _covariant_rate([example_metric] * curve.n_nodes, curve, Y, "other")
+    with pytest.raises(InvalidInputError, match="unknown variant"):
+        optimal.pursuer_ode_residual(example_metric, curve, target, curve, variant="other")
 
 
 def test_integrate_geodesic_conserves_f(shear_metric, shear_start):
