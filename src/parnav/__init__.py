@@ -33,7 +33,6 @@ from .metric import (
     MetricValue,
     NavMetric,
     NavMetricParams,
-    as_field,
 )
 from .geodesics import (
     CurveRecord,

@@ -438,6 +438,8 @@ def _parse_grid(text: str) -> tuple[list[float], list[float]]:
     for name in ("K", "theta0_deg"):
         if name not in grid:
             raise InvalidInputError(f"grid: missing axis {name!r}")
+    if not all(K > 0.0 for K in grid["K"]):
+        raise InvalidInputError("grid: every speed ratio K must be positive")
     return grid["K"], grid["theta0_deg"]
 
 
@@ -450,6 +452,8 @@ def _cmd_sweep(args) -> int:
         raise InvalidInputError("sweep needs a moving target")
     range0 = _length(scenario.r0)
     ks, thetas = _parse_grid(args.grid)
+    if not all(math.isfinite(K * speed) for K in ks):
+        raise InvalidInputError("grid: every pursuer speed K * |v_T| must lie within the floats")
 
     header = ["K", "theta0_deg", "delta0", "t_f_closed", "t_f_sim", "rel_err", "status"]
     lines = [",".join(header)]

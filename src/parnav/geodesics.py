@@ -124,9 +124,9 @@ class _PlanarFlow:
 
     def __init__(self, metric):
         field = metric.field
-        if not isinstance(field, (ConstantField, LinearField)) or field.dim != 2:
+        if field.dim != 2:
             raise InvalidInputError("the geodesic flow needs a 2-d constant or linear field")
-        self.c = metric.params.v_m * metric.params.cos_delta
+        self.c = metric.c
         self.base = (field.value if isinstance(field, ConstantField) else field.base).tolist()
         self.grad = self.A = None  # dv_T/dx and db/dx = (dv_T/dx)/c, row-major, of a linear field
         if isinstance(field, LinearField):

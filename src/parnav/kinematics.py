@@ -84,6 +84,8 @@ class ConstantVelocity:
         obj.vector = np.asarray(v, dtype=float)
         if obj.vector.ndim != 1 or obj.vector.size not in (2, 3):
             raise InvalidInputError("velocity vector must be 2- or 3-dimensional")
+        if not math.isfinite(_length(obj.vector)):
+            raise InvalidInputError("target velocity must lie within the floats")
         obj.dim = obj.vector.size
         return obj
 
@@ -143,8 +145,12 @@ class Waypoints:
             raise InvalidInputError("waypoints must be an (n >= 2, 2) array")
         if not (speed > 0.0):
             raise InvalidInputError("waypoint speed must be positive")
-        if np.any(_norm(list(np.diff(self.points, axis=0).T)) == 0.0):
+        with np.errstate(over="ignore"):  # a leg beyond the floats is refused below
+            legs = _norm(list(np.diff(self.points, axis=0).T))
+        if np.any(legs == 0.0):
             raise InvalidInputError("consecutive waypoints must be distinct")
+        if not np.isfinite(legs).all():
+            raise InvalidInputError("waypoint legs must lie within the floats")
         self.speed = float(speed)
         self.dim = 2
 

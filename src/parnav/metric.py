@@ -28,7 +28,6 @@ from .errors import InvalidInputError, OutOfDomainError
 __all__ = [
     "ConstantField",
     "LinearField",
-    "as_field",
     "NavMetricParams",
     "MetricValue",
     "NavMetric",
@@ -81,15 +80,6 @@ class LinearField:
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
         return self.gradient  # d v_T^i / dx^k, the same at every row
-
-
-def as_field(obj):
-    """Coerce a vector into a :class:`ConstantField`; field objects pass through."""
-    if hasattr(obj, "many") and hasattr(obj, "dim"):
-        return obj
-    if callable(obj):
-        raise InvalidInputError("a velocity field must be a vector or a field object, not a callable")
-    return ConstantField(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +135,13 @@ def _require_closing(den) -> None:
 
 
 class NavMetric:
-    """The navigation metric ``F(x, y)`` for one (v_m, delta) and one field."""
+    """The navigation metric ``F(x, y)`` for one (v_m, delta) and one constant or linear field."""
 
     def __init__(self, params: NavMetricParams, field):
-        self.params = params
-        self.field = as_field(field)
-        self.dim = self.field.dim
+        if not isinstance(field, (ConstantField, LinearField)):
+            raise InvalidInputError(f"a NavMetric takes a ConstantField or a LinearField, not {type(field).__name__}")
+        self.params, self.field, self.dim = params, field, field.dim
+        self.c = params.v_m * params.cos_delta  # c = v_M cos(delta)
 
     def with_delta(self, delta: float) -> "NavMetric":
         return NavMetric(replace(self.params, delta=float(delta)), self.field)
@@ -163,7 +154,7 @@ class NavMetric:
         ny = float(np.linalg.norm(y))
         if ny == 0.0:
             raise InvalidInputError("metric is undefined at the zero velocity")
-        f, den = _closing_quotient(self.params.v_m * self.params.cos_delta, ny, float(y @ self.field(x)))
+        f, den = _closing_quotient(self.c, ny, float(y @ self.field(x)))
         return MetricValue(float(f), den, math.isfinite(f))
 
     def F(self, x, y) -> float:
@@ -183,39 +174,22 @@ class NavMetric:
         V = self.field.many(np.asarray(X, dtype=float))
         return Y, ny, np.einsum("ij,ij->i", Y, V), V
 
-    def _closing_speed(self, delta):
-        """``c = v_M cos(delta)`` at the metric's own lead angle, or elementwise over ``delta``."""
-        if delta is None:
-            return self.params.v_m * self.params.cos_delta
-        delta = np.asarray(delta, dtype=float)
-        if not (np.abs(delta) < math.pi / 2.0).all():
-            raise InvalidInputError("delta must lie in (-pi/2, pi/2)")
-        return self.params.v_m * np.cos(delta)
-
-    def value_many(self, X, Y, delta=None) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise ``(F, denominator)`` without the domain gate (F is NaN outside it).
-
-        ``delta`` overrides the lead angle per row (``(m,)``) or as an
-        ``(m, k)`` / ``(1, k)`` table sharing each row's ``|y|`` and ``<y, v_T>``.
-        """
+    def value_many(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise ``(F, denominator)`` without the domain gate (F is NaN outside it)."""
         _, ny, yv, _ = self._closing_terms(X, Y)
-        c = self._closing_speed(delta)
-        if np.ndim(c) == 2:
-            ny, yv = ny[:, None], yv[:, None]
-        return _closing_quotient(c, ny, yv)
+        return _closing_quotient(self.c, ny, yv)
 
-    def F_many(self, X: np.ndarray, Y: np.ndarray, delta=None) -> np.ndarray:
-        f, den = self.value_many(X, Y, delta)
+    def F_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        f, den = self.value_many(X, Y)
         _require_closing(den)
         return f
 
     def _velocity_gradient(self, X, Y):
         """Row-wise ``(Y, |y|, F, dF/dy, D, w)`` behind :meth:`gradients_many`."""
         Y, ny, yv, V = self._closing_terms(X, Y)
-        c = self._closing_speed(None)
-        f, den = _closing_quotient(c, ny, yv)
+        f, den = _closing_quotient(self.c, ny, yv)
         _require_closing(den)
-        w = (c / ny)[:, None] * Y - V
+        w = (self.c / ny)[:, None] * Y - V
         return Y, ny, f, (2.0 * Y - f[:, None] * w) / den[:, None], den, w
 
     def gradients_many(self, X, Y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,7 +215,7 @@ class NavMetric:
         Y, ny, f, dF, den, w = (a[0] for a in self._velocity_gradient(*rows))
         u, eye, cross = Y / ny, np.eye(Y.size), np.outer(dF, w)
         # cross + cross.T is exactly symmetric, and so is g
-        hess = (2.0 * eye - (self._closing_speed(None) * f / ny) * (eye - np.outer(u, u)) - (cross + cross.T)) / den
+        hess = (2.0 * eye - (self.c * f / ny) * (eye - np.outer(u, u)) - (cross + cross.T)) / den
         return np.outer(dF, dF) + f * hess
 
     def unit_vector(self, x, direction) -> np.ndarray:

@@ -331,10 +331,11 @@ def optimal_trajectory(scenario: Scenario, field=None, *, step: float | None = N
     field, when the hitting geodesic arrives after ``t_max``.
     :class:`ConvergenceError` is raised when no shot enters the hit sphere
     (see :func:`_hitting_shot`), or when the course strays from unit F by
-    more than 1e-9.  ``field`` overrides the target velocity field (defaults
-    to the scenario's constant program); non-constant programs require an
-    explicit field.  Shots take 2-d linear fields; other non-constant
-    fields, a field whose dimension is not the scenario's, a ``step`` not
+    more than 1e-9.  ``field``, a :class:`ConstantField` or :class:`LinearField`,
+    overrides the target velocity field (defaults to the scenario's constant
+    program); non-constant programs require an explicit field.  Shots take 2-d
+    linear fields.  Any other field object, a linear field not in 2-d, a field
+    whose dimension is not the scenario's, a ``step`` not
     positive and finite or over the step budget (1e7 a shot), and magnitudes
     under which ``t_hat``, the step, the horizon or the chord's contact time
     overflow or underflow raise :class:`InvalidInputError`.  The default
@@ -424,26 +425,18 @@ def monotonicity_check(
     undefined are redrawn.
     """
     rng = np.random.default_rng(seed)
-    n = metric.dim
-    worst, worst_point, n_pairs, attempts = -math.inf, None, 0, 0
-    while n_pairs < n_samples and attempts < 50 * n_samples:
-        # a block never holds more pairs than are still missing, so it
-        # ends where drawing one attempt at a time would
-        k = min(n_samples - n_pairs, 50 * n_samples - attempts)
-        attempts += k
-        draws = [(rng.normal(size=n), rng.normal(size=n), rng.uniform(-1.3, 1.3)) for _ in range(k)]
-        X, Y, D = (np.array(c) for c in zip(*draws))
-        Y = Y * y_scale
-        f, _ = metric.value_many(np.vstack([X, X]), np.vstack([Y, Y]), np.concatenate([np.zeros(k), D]))
+    zero = metric.with_delta(0.0)
+    worst, worst_point, n_pairs = -math.inf, None, 0
+    for _ in range(50 * n_samples):
+        if n_pairs == n_samples:
+            break
+        x, y, d = rng.normal(size=metric.dim), rng.normal(size=metric.dim) * y_scale, rng.uniform(-1.3, 1.3)
+        f0, fd = zero.value(x, y), metric.with_delta(d).value(x, y)
         # where F_delta is undefined it is +inf, so the inequality holds trivially
-        ok = np.flatnonzero(~np.isnan(f[:k]) & ~np.isnan(f[k:]))
-        n_pairs += ok.size
-        if ok.size:
-            gaps = f[ok] - f[k + ok]
-            j = int(np.argmax(gaps))
-            if gaps[j] > worst:
-                i = ok[j]
-                worst, worst_point = float(gaps[j]), (X[i].copy(), Y[i].copy(), float(D[i]))
+        if f0.in_domain and fd.in_domain:
+            n_pairs, gap = n_pairs + 1, f0.value - fd.value
+            if gap > worst:
+                worst, worst_point = gap, (x, y, d)
     if n_pairs == 0:
         raise InvalidInputError("no in-domain samples drawn; check the scales")
     return MonotonicityReport(max_violation=float(worst), n_pairs=n_pairs, worst_point=worst_point)
@@ -455,9 +448,8 @@ def lengths_over_lead_angles(metric: NavMetric, curve: CurveRecord, deltas) -> n
     Raises :class:`OutOfDomainError` if any requested lead angle loses
     the curve (the zero-lead length is then not comparable).
     """
-    F = metric.F_many(curve.positions, curve.velocities, np.asarray(deltas, dtype=float)[None, :])
-    # contiguous rows, so each length sums in the same order as a lone 1-d trapezoid
-    return _trapezoid(np.ascontiguousarray(F.T), curve.times)
+    X, Y, t = curve.positions, curve.velocities, curve.times
+    return np.array([_trapezoid(metric.with_delta(d).F_many(X, Y), t) for d in np.asarray(deltas, dtype=float)])
 
 
 # ---------------------------------------------------------------------------

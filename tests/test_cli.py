@@ -484,11 +484,37 @@ def test_time_scales_that_overflow_or_underflow_exit_2(tmp_path, capsys, case, m
 def test_range_beyond_the_floats_exits_2(tmp_path, capsys, r0):
     target = {"type": "constant", "velocity": [1.0, 0.0, 0.0][: len(r0)]}
     doc = {"schema_version": 1, "scenario": {"r0": r0, "target": target, "pursuer_speed": 2.0}}
-    code = cli.main(["simulate", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "run.csv"), "--quiet"])
-    assert code == 2
+    argv = ["simulate", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "run.csv"), "--quiet"]
+    _assert_refused(tmp_path, capsys, argv, "within the floats")
+
+
+def _assert_refused(tmp_path, capsys, argv, reason):
+    """``parnav`` exits 2 on ``argv`` with one ``error:`` line naming ``reason``, and writes no file."""
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "within the floats" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["simulate", "optimal"])
+@pytest.mark.parametrize("scenario", [
+    {"r0": [1000.0, 0.0], "target": {"type": "constant", "velocity": [1.5e308, 1.5e308]}, "ratio": 2.0},
+    {"r0": [1000.0, 0.0, 0.0], "target": {"type": "constant", "velocity": [1.5e308, 0.0, 1.5e308]},
+     "pursuer_speed": 1e308},
+], ids=["2-d", "3-d"])
+def test_target_velocity_beyond_the_floats_exits_2(tmp_path, capsys, mode, scenario):
+    path = write_scenario(tmp_path, {"schema_version": 1, "scenario": scenario})
+    argv = [mode, str(path), "--out", str(tmp_path / "x.out"), "--quiet"]
+    _assert_refused(tmp_path, capsys, argv, "target velocity must lie within the floats")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_waypoint_leg_beyond_the_floats_exits_2(tmp_path, capsys):
+    target = {"type": "waypoints", "points": [[1e308, 0.0], [-1e308, 0.0]], "speed": 1.0}
+    doc = {"schema_version": 1, "scenario": {"r0": [1e308, 0.0], "target": target, "pursuer_speed": 2.0}}
+    argv = ["simulate", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path / "run.csv"), "--quiet"]
+    _assert_refused(tmp_path, capsys, argv, "waypoint legs must lie within the floats")
 
 
 def _simulate_quietly(scenario_doc, tmp, *extra):
@@ -671,6 +697,23 @@ def test_sweep_rejects_non_finite_grid_values(tmp_path, capsys, grid):
     assert code == 2
     assert "grid: non-finite value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r0", [[1000.0, 0.0], [600.0, 0.0, 800.0]], ids=["2-d", "3-d"])
+@pytest.mark.parametrize("grid, reason", [
+    ("K=0,2;theta0_deg=0", "grid: every speed ratio K must be positive"),
+    ("K=-1;theta0_deg=0", "grid: every speed ratio K must be positive"),
+    ("K=1e308;theta0_deg=0", "grid: every pursuer speed K * |v_T| must lie within the floats"),
+], ids=["zero", "negative", "overflow"])
+def test_sweep_refuses_a_bad_speed_ratio_before_any_cell(tmp_path, capsys, monkeypatch, r0, grid, reason):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "nonmaneuvering_intercept", no_cell)
+    target = {"type": "constant", "velocity": [100.0, 0.0, 0.0][: len(r0)]}
+    path = write_scenario(tmp_path, {"schema_version": 1, "scenario": {"r0": r0, "target": target, "ratio": 2.0}})
+    _assert_refused(tmp_path, capsys, ["sweep", str(path), "--out", str(tmp_path / "x.csv"), "--grid", grid], reason)
 
 
 # --- numerical-failure mapping -----------------------------------------------------

@@ -14,7 +14,6 @@ from parnav import (
     NavMetric,
     NavMetricParams,
     OutOfDomainError,
-    as_field,
     numdiff,
 )
 from tests.draws import shoot_shear
@@ -71,25 +70,22 @@ def test_f_many_matches_scalar():
         assert F[i] == pytest.approx(m.F(X[i], Y[i]), rel=1e-14)
 
 
-def test_value_many_lead_angles_per_row_and_as_table():
+def test_value_many_matches_value_at_each_lead_angle():
     m = _metric()
     X = np.zeros((3, 2))
     Y = np.array([[1.0, 0.0], [0.0, -2.0], [0.3, 0.1]])  # the last row follows v_T
-    deltas = np.array([0.0, 0.7, 1.5])
-    table, den = m.value_many(X, Y, deltas[None, :])
-    assert table.shape == den.shape == (3, 3)
-    for j, d in enumerate(deltas):
-        per_row, _ = m.value_many(X, Y, np.full(3, d))
-        np.testing.assert_array_equal(table[:, j], per_row)
+    for d in (0.0, 0.7, 1.5):
+        md = m.with_delta(d)
+        f, den = md.value_many(X, Y)
         for i in range(3):
-            mv = m.with_delta(d).value(X[i], Y[i])
-            assert mv.in_domain == (den[i, j] > 0.0)
-            assert table[i, j] == pytest.approx(mv.value, rel=1e-14, nan_ok=True)
-    assert np.isnan(table[2, 2])  # cos(1.5) v_M < |v_T|: no closing along the field
+            mv = md.value(X[i], Y[i])
+            assert mv.in_domain == (den[i] > 0.0)
+            assert f[i] == pytest.approx(mv.value, rel=1e-14, nan_ok=True)
+    assert np.isnan(f[2])  # cos(1.5) v_M < |v_T|: no closing along the field
     with pytest.raises(OutOfDomainError):
-        m.F_many(X, Y, deltas[None, :])
+        md.F_many(X, Y)
     with pytest.raises(InvalidInputError):
-        m.value_many(X, Y, np.array([0.0, 0.0, math.pi / 2.0]))
+        m.with_delta(math.pi / 2.0)
 
 
 def test_f_many_raises_on_any_bad_row():
@@ -261,10 +257,17 @@ def test_linear_field():
     np.testing.assert_allclose(f.many(X), np.stack([f(x) for x in X]), rtol=1e-15)
 
 
-def test_as_field_coercions():
-    f = as_field([1.0, 2.0])
-    np.testing.assert_allclose(f(np.zeros(2)), [1.0, 2.0])
-    g = as_field(ConstantField([0.0, 1.0]))
-    assert isinstance(g, ConstantField)
-    with pytest.raises(InvalidInputError, match="not a callable"):
-        as_field(lambda x: np.array([x[1], 0.0]))
+class _AnyField:
+    """An object with a field's ``many`` and ``dim`` that is neither of the two field classes."""
+
+    dim = 2
+
+    def many(self, X):
+        return np.zeros_like(X)
+
+
+@pytest.mark.parametrize("field", [[0.3, 0.1], lambda x: np.array([x[1], 0.0]), _AnyField()],
+                         ids=["vector", "callable", "field-like"])
+def test_metric_takes_only_constant_or_linear_fields(field):
+    with pytest.raises(InvalidInputError, match="ConstantField or a LinearField"):
+        NavMetric(NavMetricParams(2.0), field)

@@ -893,20 +893,25 @@ def test_shot_ends_at_its_first_done_point(shear_metric, offset, hit):
         assert abs(abs(shot.miss) - r_end) <= 1e-12 * r_end
 
 
-class _AnyField:
-    """A field object ``NavMetric`` accepts but the shooter does not know."""
-
-    dim = 2
-
-    def many(self, X):
-        return np.zeros_like(X)
-
-
-@pytest.mark.parametrize("field", [_AnyField(), LinearField([0.1, 0.0, 0.0], np.zeros((3, 3)))])
+@pytest.mark.parametrize("field", [LinearField([0.1, 0.0, 0.0], np.zeros((3, 3))), LinearField([0.1], [[0.0]])])
 def test_shooter_takes_only_planar_constant_or_linear_fields(field):
     sc = Scenario(r0=np.array([1.6, -0.9]), program=ConstantVelocity(0.1, 0.0), v_m=2.0)
     with pytest.raises(InvalidInputError, match="2-d constant or linear field"):
         optimal_trajectory(sc, field)
+
+
+@pytest.mark.parametrize("r0", [[1.6, -0.9], [1.6, -0.9, 0.4]], ids=["2-d", "3-d"])
+def test_a_vector_is_not_a_field_and_shoots_no_geodesic(monkeypatch, r0):
+    # a raw target velocity is not a field: no shot may take it for an unknown field in place of the chord
+    def no_shot(*args):
+        raise AssertionError("a geodesic was shot")
+
+    monkeypatch.setattr(optimal, "_shoot", no_shot)
+    v = [0.1, 0.05, 0.0][: len(r0)]
+    sc = Scenario(r0=np.array(r0), program=ConstantVelocity.from_vector(v), v_m=2.0, hit_radius=0.05)
+    with pytest.raises(InvalidInputError, match="ConstantField or a LinearField"):
+        optimal_trajectory(sc, v)
+    assert optimal_trajectory(sc, ConstantField(v)).n_nodes > 2  # the chord, laid out in closed form
 
 
 @pytest.mark.parametrize("r0, field", [
